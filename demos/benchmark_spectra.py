@@ -16,9 +16,10 @@ README at a few seconds per solve.
 import argparse
 import time
 
-from flowstab import (SolverSettings, SpatialField, build_operators,
-                      build_problem, build_space, obstacle_mesh, rightmost,
-                      ritz_to_csv, solve_steady, step_mesh)
+from flowstab.assembly import SpatialField
+from flowstab.eigen import build_problem, rightmost, ritz_to_csv
+from flowstab.meshes import build_space, obstacle_mesh, step_mesh
+from flowstab.steady import SolverSettings, build_operators, solve_steady
 
 CASES = {
     "obstacle": {"nu1": 5.36193e-3, "pressure": "q1"},

@@ -9,8 +9,10 @@ negative fields once the coefficient of variation approaches the mean.
 
 import numpy as np
 
-from flowstab import (PositivityError, build_affine, build_lognormal,
-                      kl_decompose, obstacle_mesh)
+from flowstab.errors import PositivityError
+from flowstab.meshes import obstacle_mesh
+from flowstab.randomfield import kl_decompose
+from flowstab.viscosity import build_affine, build_lognormal
 
 NU1 = 5.36193e-3
 LX, LY = 2.0, 0.5   # correlation lengths, quarter of width and height

@@ -7,42 +7,27 @@ regularized eigenvalue problem for the rightmost mode, Karhunen-Loeve
 random viscosity models, sparse-grid collocation, Gaussian-process and
 neural-network surrogates, and the Monte Carlo machinery that validates
 them.
+
+The top level exports the study entry points listed in the README's
+Library section; everything else is imported from its submodule.
 """
 
-from .errors import (ConfigError, ConvergenceError, EigenError, FieldError,
-                     FlowstabError, GeometryError, PositivityError,
-                     RankDeficiencyError, ShiftError, SolverError,
-                     TrainingError)
-from .meshes import (Mesh, MixedSpace, build_space, channel_mesh,
-                     geometric_breaks, obstacle_mesh, step_mesh)
-from .assembly import SpatialField
-from .steady import (FlowState, Operators, SolverSettings, SteadyResult,
-                     build_operators, solve_steady, solve_stokes)
-from .eigen import (EigenProblem, EigenResult, build_problem, dense_rightmost,
-                    rightmost, ritz_to_csv)
-from .gpc import GpcBasis
-from .quadrature import SparseGrid, gauss_1d, smolyak
-from .randomfield import KlExpansion, covariance_kernel, kl_decompose
-from .viscosity import (ViscosityModel, build_affine, build_lognormal,
-                        hermite_lognormal_coeffs)
-from .surrogates import (GpSurrogate, NnSurrogate, Scaler, ScSurrogate,
-                         TrainingSet, evaluate_csv, gp_train, load_surrogate,
-                         nn_train, save_surrogate, sc_train,
-                         stride_for_fraction)
-from .simulate import (EvalCache, McResult, SampleRecord, SampleSet,
-                       Simulator, family_distribution, monte_carlo,
-                       run_simulator)
-from .metrics import (Report, build_report, kde, kde_grid, ks_statistic,
-                      moments, prob_nonneg, rmse, silverman_bandwidth)
-from .config import (ExperimentConfig, build_kl, build_mesh, build_model,
-                     build_simulator, build_space_for, config_from_dict,
-                     load_config)
+from .config import (build_kl, build_mesh, build_model, build_simulator,
+                     build_space_for, config_from_dict, load_config)
+from .quadrature import smolyak
+from .simulate import SampleSet, monte_carlo
 
 __version__ = "0.1.0"
 
-import types as _types
-
-__all__ = sorted(
-    name for name, obj in globals().items()
-    if not name.startswith("_") and not isinstance(obj, _types.ModuleType)
-)
+__all__ = [
+    "SampleSet",
+    "build_kl",
+    "build_mesh",
+    "build_model",
+    "build_simulator",
+    "build_space_for",
+    "config_from_dict",
+    "load_config",
+    "monte_carlo",
+    "smolyak",
+]

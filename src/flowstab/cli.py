@@ -28,9 +28,9 @@ from .assembly import SpatialField
 from .eigen import build_problem, rightmost, ritz_to_csv
 from .errors import (ConfigError, ConvergenceError, EigenError,
                      FlowstabError, SolverError)
-from .metrics import Report, build_report
+from .metrics import Report, build_report, metrics_csv
 from .quadrature import smolyak
-from .simulate import SampleSet, Simulator, monte_carlo
+from .simulate import SampleSet, Simulator, monte_carlo, read_cache
 from .steady import build_operators, solve_steady
 from .surrogates import (TrainingSet, gp_train, load_surrogate, nn_train,
                          save_surrogate, sc_train)
@@ -148,7 +148,7 @@ def _parse_xi(text: str | None, dim: int) -> np.ndarray:
     return xi
 
 
-def _resolve_workers(args, config: ExperimentConfig) -> int:
+def _resolve_workers(args) -> int:
     if args.workers is not None:
         return max(1, args.workers)
     return max(1, os.cpu_count() or 1)
@@ -194,8 +194,7 @@ def cmd_solve(args) -> int:
         "method": eig.method,
         "k": eig.k,
         "residual": eig.residual,
-        "steady": {"converged": steady.converged,
-                   "residual": steady.residual,
+        "steady": {"residual": steady.residual,
                    "reference": steady.reference,
                    "iterations": len(steady.trace)},
     }
@@ -237,7 +236,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    workers = _resolve_workers(args, config)
+    workers = _resolve_workers(args)
     mesh = build_mesh(config)
     space = build_space_for(config, mesh)
     kl = build_kl(config, mesh)
@@ -251,13 +250,13 @@ def cmd_train(args) -> int:
 
 def cmd_assess(args) -> int:
     config = load_config(args.config)
-    workers = _resolve_workers(args, config)
+    workers = _resolve_workers(args)
     mesh = build_mesh(config)
     space = build_space_for(config, mesh)
     kl = build_kl(config, mesh)
     config.outdir.mkdir(parents=True, exist_ok=True)
 
-    blocks = []
+    reports = []
     for cov in config.covs:
         sim = build_simulator(config, cov, mesh=mesh, space=space, kl=kl)
         surrogates = ensure_surrogates(config, sim, cov, workers=workers)
@@ -265,15 +264,8 @@ def cmd_assess(args) -> int:
         tag = _cov_tag(cov)
         report.to_json(config.outdir / f"report_{tag}.json")
         report.kde_csv(config.outdir / f"kde_{tag}.csv")
-        blocks.append((tag, report))
-
-    lines = []
-    for tag, report in blocks:
-        lines.append(f"# {tag}")
-        for row in report.metrics_rows():
-            lines.append(",".join(str(v) for v in row))
-        lines.append("")
-    (config.outdir / "metrics.csv").write_text("\n".join(lines))
+        reports.append(report)
+    metrics_csv(reports, config.outdir / "metrics.csv")
     print(f"wrote {config.outdir / 'metrics.csv'}")
     return 0
 
@@ -297,15 +289,10 @@ def cmd_cache(args) -> int:
         return 0
     fingerprints: dict[str, int] = {}
     failed = 0
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            fingerprints[record["fingerprint"]] = \
-                fingerprints.get(record["fingerprint"], 0) + 1
-            failed += bool(record.get("failed"))
+    for record in read_cache(path)[0]:
+        fingerprints[record["fingerprint"]] = \
+            fingerprints.get(record["fingerprint"], 0) + 1
+        failed += bool(record.get("failed"))
     total = sum(fingerprints.values())
     print(f"{path}: {total} records, {failed} failed, "
           f"{len(fingerprints)} distinct configurations")

@@ -17,7 +17,7 @@ import yaml
 from .errors import ConfigError
 from .meshes import Mesh, MixedSpace, build_space, obstacle_mesh, step_mesh
 from .randomfield import KlExpansion, kl_decompose
-from .simulate import EvalCache, Simulator, family_distribution
+from .simulate import Simulator, family_distribution
 from .steady import SolverSettings
 from .viscosity import ViscosityModel, build_affine, build_lognormal
 
@@ -61,7 +61,6 @@ class ExperimentConfig:
     sample_seed: int
     outdir: Path
     cache: str | None
-    workers: int
 
     @property
     def family(self) -> str:
@@ -90,7 +89,6 @@ class ExperimentConfig:
                            "nn_seed": self.nn_seed,
                            "gp_sigma_l": self.gp_sigma_l},
             "assess": {"n_mc": self.n_mc, "sample_seed": self.sample_seed},
-            "workers": self.workers,
         }
 
 
@@ -128,7 +126,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     top_allowed = {"benchmark", "mesh", "viscosity", "solver", "eigen",
-                   "surrogates", "assess", "paths", "workers"}
+                   "surrogates", "assess", "paths"}
     unknown = set(data) - top_allowed
     if unknown:
         raise ConfigError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
@@ -220,10 +218,6 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
     base = Path(base_dir) if base_dir is not None else Path(".")
     outdir = base / paths["outdir"]
 
-    workers = data.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("workers must be a positive integer")
-
     return ExperimentConfig(
         benchmark=benchmark,
         refine=mesh["refine"],
@@ -249,7 +243,6 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
         sample_seed=assess["sample_seed"],
         outdir=outdir,
         cache=paths["cache"],
-        workers=workers,
     )
 
 
@@ -309,5 +302,5 @@ def build_simulator(config: ExperimentConfig, cov: float,
                     seed=config.eigen_seed,
                     label=f"{config.benchmark}-cov{cov:g}")
     if use_cache and config.cache is not None:
-        sim.cache = EvalCache(config.outdir / config.cache, sim.fingerprint)
+        sim.attach_cache(config.outdir / config.cache)
     return sim

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import json
 import numpy as np
 
 from .errors import GeometryError
@@ -101,22 +100,6 @@ class Mesh:
     def area(self) -> float:
         hx, hy = self.cell_sizes()
         return float((hx * hy).sum())
-
-    def to_json(self, path) -> None:
-        """Write a geometry summary (breakpoints, mask, tags, counts)."""
-        doc = {
-            "xs": self.xs.tolist(),
-            "ys": self.ys.tolist(),
-            "cell_mask": self.cell_mask.astype(int).tolist(),
-            "n_cells": int(self.n_cells),
-            "n_vnodes": int(self.n_vnodes),
-            "boundary": {
-                tag: {"kind": b.kind, "n_nodes": int(b.vnodes.size)}
-                for tag, b in self.boundary.items()
-            },
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
 
 
 def _build_mesh(xs, ys, cell_mask, tag_rules) -> Mesh:

@@ -162,10 +162,6 @@ class Report:
             rows.append(row)
         return rows
 
-    def metrics_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            csv.writer(fh).writerows(self.metrics_rows())
-
     def kde_csv(self, path) -> None:
         names = list(self.kde_curves)
         with Path(path).open("w", newline="") as fh:
@@ -175,6 +171,16 @@ class Report:
                 writer.writerow([repr(float(x))]
                                 + [repr(float(self.kde_curves[n][i]))
                                    for n in names])
+
+
+def metrics_csv(reports, path) -> None:
+    """Write the metric rows of each report under a ``# label`` line."""
+    lines = []
+    for report in reports:
+        lines.append(f"# {report.label}")
+        lines.extend(",".join(row) for row in report.metrics_rows())
+        lines.append("")
+    Path(path).write_text("\n".join(lines))
 
 
 def build_report(mc_values, surrogate_values: dict, *, label: str = "",

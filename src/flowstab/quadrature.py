@@ -114,16 +114,3 @@ def smolyak(family: str, dim: int, level: int) -> SparseGrid:
     nodes = np.array([pt for _, (pt, _) in items]).reshape(len(items), dim)
     weights = np.array([w for _, (_, w) in items])
     return SparseGrid(family, dim, level, nodes, weights)
-
-
-def integrate(grid: SparseGrid, fn) -> np.ndarray:
-    """Quadrature sum ``sum_q w_q fn(node_q)``.
-
-    `fn` is called once with the full ``(n_nodes, dim)`` node array and must
-    return either ``(n_nodes,)`` or ``(n_nodes, k)`` values; the result is a
-    scalar or a length-``k`` vector accordingly.
-    """
-    values = np.asarray(fn(grid.nodes), dtype=float)
-    if values.shape[0] != grid.n_nodes:
-        raise ValueError("fn must return one value (or row) per node")
-    return grid.weights @ values

@@ -10,10 +10,10 @@ cache written under one setup can never leak into another.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, EigenError, PositivityError
+from .errors import ConfigError, EigenError, PositivityError, SolverError
 from .eigen import build_problem, rightmost
 from .meshes import Mesh, MixedSpace
 from .steady import SolverSettings, build_operators, solve_steady
@@ -79,28 +79,6 @@ class SampleSet:
         payload = np.ascontiguousarray(self.xi, dtype=np.float64).tobytes()
         return hashlib.sha256(payload).hexdigest()
 
-    def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", self.seed])
-            writer.writerow(["distribution", self.distribution])
-            writer.writerow([f"xi_{j}" for j in range(self.dim)])
-            for row in self.xi:
-                writer.writerow([repr(float(v)) for v in row])
-
-    @classmethod
-    def from_csv(cls, path) -> "SampleSet":
-        path = Path(path)
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        if len(rows) < 4 or rows[0][0] != "seed" or rows[1][0] != "distribution":
-            raise ConfigError(f"{path} is not a sample-set file")
-        seed = int(rows[0][1])
-        distribution = rows[1][1]
-        xi = np.array([[float(v) for v in row] for row in rows[3:]])
-        return cls(xi, seed, distribution)
-
 
 @dataclass(frozen=True)
 class SampleRecord:
@@ -146,16 +124,17 @@ class EvalCache:
         self.path = Path(path)
         self.fingerprint = fingerprint
         self._store: dict[str, SampleRecord] = {}
+        # length the file is cut back to before the next append, so a torn
+        # tail never glues onto a new record; None when the file is whole
+        self._cut: Optional[int] = None
         if self.path.exists():
-            with self.path.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    data = json.loads(line)
-                    if data.get("fingerprint") != fingerprint:
-                        continue
-                    self._store.setdefault(data["key"], SampleRecord.from_dict(data))
+            records, complete = read_cache(self.path)
+            if complete < self.path.stat().st_size:
+                self._cut = complete
+            for data in records:
+                if data.get("fingerprint") != fingerprint:
+                    continue
+                self._store.setdefault(data["key"], SampleRecord.from_dict(data))
 
     def __len__(self) -> int:
         return len(self._store)
@@ -170,8 +149,36 @@ class EvalCache:
         data = {"key": key, "fingerprint": self.fingerprint}
         data.update(record.to_dict())
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(data, sort_keys=True) + "\n")
+        with self.path.open("ab") as fh:
+            if self._cut is not None:
+                fh.truncate(self._cut)
+                self._cut = None
+            fh.write((json.dumps(data, sort_keys=True) + "\n").encode())
+
+
+def read_cache(path) -> tuple[list, int]:
+    """Decoded lines of a cache file, and the byte length of its whole lines.
+
+    A run killed mid-append can leave a torn last line; it is skipped with
+    a warning on stderr and does not count as whole.  An undecodable line
+    anywhere else means the file is corrupt.
+    """
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    records, complete = [], 0
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                records.append(json.loads(line))
+            except ValueError:
+                if number < len(lines):
+                    raise ConfigError(
+                        f"{path}, line {number}: not a cache record")
+                print(f"warning: {path}, line {number}: skipping a torn "
+                      f"last line", file=sys.stderr)
+                break
+        if line.endswith(b"\n"):
+            complete += len(line)
+    return records, complete
 
 
 def _sample_key(xi: np.ndarray, fingerprint: str) -> str:
@@ -196,7 +203,7 @@ class Simulator:
     shift: float = 0.0
     seed: int = 0
     label: str = ""
-    cache: Optional[EvalCache] = None
+    cache: Optional[EvalCache] = field(default=None, init=False)
 
     def describe(self) -> dict:
         xs, ys = self.mesh.xs, self.mesh.ys
@@ -241,7 +248,7 @@ class Simulator:
         ops = build_operators(self.mesh, self.space, visc)
         try:
             steady = solve_steady(ops, self.settings)
-        except ConvergenceError as exc:
+        except SolverError as exc:
             return SampleRecord(key, float("nan"), float("nan"), True,
                                 f"steady solve: {exc}")
         problem = build_problem(ops, steady.state, delta=self.delta)
@@ -258,23 +265,6 @@ class Simulator:
         lam = eig.eigenvalue
         return SampleRecord(key, float(lam.real), float(lam.imag), False,
                             "", digest)
-
-    def run(self, xi) -> SampleRecord:
-        xi = np.asarray(xi, dtype=float).ravel()
-        if self.cache is not None:
-            key = _sample_key(xi, self.fingerprint)
-            hit = self.cache.get(key)
-            if hit is not None:
-                return hit
-        record = self.compute(xi)
-        if self.cache is not None:
-            self.cache.put(key, record)
-        return record
-
-
-def run_simulator(simulator: Simulator, xi) -> SampleRecord:
-    """One cached rightmost-eigenvalue evaluation at the sample ``xi``."""
-    return simulator.run(xi)
 
 
 # handed to forked pool workers through inherited memory; boundary profiles
@@ -336,19 +326,13 @@ def monte_carlo(simulator: Simulator, samples: SampleSet,
             f"samples drawn from {samples.distribution!r} but the "
             f"viscosity basis expects {want!r}")
 
-    n = samples.n
-    records: list[Optional[SampleRecord]] = [None] * n
-    missing: list[int] = []
-    if simulator.cache is not None:
-        for i in range(n):
-            key = _sample_key(samples.xi[i], simulator.fingerprint)
-            hit = simulator.cache.get(key)
-            if hit is not None:
-                records[i] = hit
-            else:
-                missing.append(i)
-    else:
-        missing = list(range(n))
+    cache = simulator.cache
+    records: list[Optional[SampleRecord]] = [None] * samples.n
+    if cache is not None:
+        fingerprint = simulator.fingerprint
+        keys = [_sample_key(xi, fingerprint) for xi in samples.xi]
+        records = [cache.get(key) for key in keys]
+    missing = [i for i, record in enumerate(records) if record is None]
 
     if missing:
         try:
@@ -369,8 +353,7 @@ def monte_carlo(simulator: Simulator, samples: SampleSet,
             fresh = [simulator.compute(samples.xi[i]) for i in missing]
         for i, record in zip(missing, fresh):
             records[i] = record
-            if simulator.cache is not None:
-                key = _sample_key(samples.xi[i], simulator.fingerprint)
-                simulator.cache.put(key, record)
+            if cache is not None:
+                cache.put(keys[i], record)
 
     return McResult(tuple(records), samples.content_hash())

@@ -63,7 +63,6 @@ class Operators:
 @dataclass
 class SteadyResult:
     state: FlowState
-    converged: bool
     residual: float
     reference: float
     trace: list = field(default_factory=list)
@@ -189,4 +188,4 @@ def solve_steady(ops: Operators, settings: SolverSettings | None = None) -> Stea
         raise ConvergenceError(
             f"residual {res_norm:.3e} above target {target:.3e} "
             f"after {len(trace) - 1} steps", trace)
-    return SteadyResult(state, True, res_norm, reference, trace)
+    return SteadyResult(state, res_norm, reference, trace)

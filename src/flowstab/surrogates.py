@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 from scipy import linalg, optimize
 
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 from .gpc import GpcBasis
 from .quadrature import SparseGrid
 
@@ -75,18 +75,16 @@ class TrainingSet:
     inputs: np.ndarray            # (n, m)
     targets: np.ndarray           # (n,) real channel
     scaler: Scaler
-    weights: np.ndarray | None = None   # source quadrature weights, if any
 
     @classmethod
-    def from_samples(cls, inputs, targets, weights=None) -> "TrainingSet":
+    def from_samples(cls, inputs, targets) -> "TrainingSet":
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         targets = np.asarray(targets, dtype=float).ravel()
         if inputs.shape[0] != targets.size:
             raise ValueError("inputs and targets disagree on sample count")
         if targets.size < 2:
             raise ValueError("need at least two samples")
-        w = None if weights is None else np.asarray(weights, dtype=float)
-        return cls(inputs, targets, Scaler.fit(targets), w)
+        return cls(inputs, targets, Scaler.fit(targets))
 
     @property
     def n(self) -> int:
@@ -110,13 +108,6 @@ class TrainingSet:
                                         self.targets[::stride])
 
 
-def stride_for_fraction(n: int, fraction: float) -> int:
-    """Stride whose every-k-th selection keeps roughly ``fraction`` of ``n``."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must lie in (0, 1]")
-    return max(1, round(1.0 / fraction))
-
-
 # ---------------------------------------------------------------- collocation
 
 @dataclass(frozen=True)
@@ -129,11 +120,6 @@ class ScSurrogate:
 
     def evaluate(self, points) -> np.ndarray:
         return self.basis.evaluate(points) @ self.coeffs
-
-    def evaluate_imag(self, points) -> np.ndarray:
-        if self.imag_coeffs is None:
-            raise ValueError("surrogate tracks no imaginary channel")
-        return self.basis.evaluate(points) @ self.imag_coeffs
 
     @property
     def mean(self) -> float:
@@ -522,19 +508,37 @@ def save_surrogate(surrogate, path, provenance: dict | None = None) -> None:
 
 
 def load_surrogate(path):
-    """Rebuild a surrogate saved by ``save_surrogate``."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != _FORMAT or doc.get("version") != _VERSION:
-        raise ValueError(f"unrecognized surrogate document in {path}")
+    """Rebuild a surrogate saved by ``save_surrogate``.
+
+    Anything else (a corrupt file, another format or version, an unknown
+    kind, missing fields) raises :class:`ConfigError`.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}")
+    if (not isinstance(doc, dict) or doc.get("format") != _FORMAT
+            or doc.get("version") != _VERSION):
+        raise ConfigError(f"unrecognized surrogate document in {path}")
+    kind = doc.get("kind")
+    if kind not in ("sc", "gp", "nn"):
+        raise ConfigError(f"unknown surrogate kind {kind!r} in {path}")
+    try:
+        return _rebuild(kind, doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {kind} surrogate in {path}: {exc!r}")
+
+
+def _rebuild(kind: str, doc: dict):
     params = doc["params"]
-    if doc["kind"] == "sc":
+    if kind == "sc":
         basis = GpcBasis.total_degree(params["family"], params["dim"],
                                       params["degree"])
         imag = params["imag_coeffs"]
         return ScSurrogate(basis, np.array(params["coeffs"]),
                            None if imag is None else np.array(imag))
     scaler = Scaler(*doc["scaler"])
-    if doc["kind"] == "gp":
+    if kind == "gp":
         inputs = np.array(params["inputs"])
         alpha = np.array(params["alpha"])
         d2 = np.sum((inputs[:, None, :] - inputs[None, :, :]) ** 2, axis=2)
@@ -545,29 +549,7 @@ def load_surrogate(path):
         return GpSurrogate(inputs, scaler, params["sigma_l"],
                            params["mu_hat"], params["sigma_f2"], alpha,
                            v, float(v.sum()), cho, params["jitter"])
-    if doc["kind"] == "nn":
-        return NnSurrogate(np.array(params["w1"]), np.array(params["b1"]),
-                           np.array(params["w2"]), params["b2"],
-                           np.array(params["in_lo"]), np.array(params["in_hi"]),
-                           scaler, params["seed"], params["info"])
-    raise ValueError(f"unknown surrogate kind {doc['kind']!r}")
-
-
-def evaluate_csv(surrogate, in_path, out_path) -> int:
-    """Batch-evaluate input rows from CSV, write one value per row.
-
-    A non-numeric first line is treated as a header.  Returns the number
-    of evaluated rows.
-    """
-    raw = Path(in_path).read_text().strip().splitlines()
-    start = 0
-    try:
-        [float(tok) for tok in raw[0].split(",")]
-    except ValueError:
-        start = 1
-    points = np.array([[float(tok) for tok in line.split(",")]
-                       for line in raw[start:]])
-    values = surrogate.evaluate(points)
-    lines = ["lambda_re"] + [repr(float(v)) for v in values]
-    Path(out_path).write_text("\n".join(lines) + "\n")
-    return len(values)
+    return NnSurrogate(np.array(params["w1"]), np.array(params["b1"]),
+                       np.array(params["w2"]), params["b2"],
+                       np.array(params["in_lo"]), np.array(params["in_hi"]),
+                       scaler, params["seed"], params["info"])

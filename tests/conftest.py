@@ -59,11 +59,12 @@ def _workers() -> int:
 
 
 @pytest.fixture(scope="session")
-def desk_study():
+def desk_study(tmp_path_factory):
     """Full coarse-mesh obstacle study shared by the end-to-end criteria.
 
     For each CoV: the simulator, its design-node outputs, the three
-    trained surrogates, and a 200-sample Monte Carlo run.
+    trained surrogates, and a 200-sample Monte Carlo run.  An evaluation
+    cache serves the design-node outputs from the training run.
     """
     from flowstab.cli import design_samples, train_surrogates
     from flowstab.config import (build_kl, build_mesh, build_simulator,
@@ -85,10 +86,12 @@ def desk_study():
     grid, gsamples = design_samples(config)
     samples = SampleSet.draw(config.n_mc, config.m, config.distribution,
                              config.sample_seed)
+    cache = tmp_path_factory.mktemp("desk_study") / "cache.jsonl"
     by_cov = {}
     for cov in config.covs:
         sim = build_simulator(config, cov, use_cache=False,
                               mesh=mesh, space=space, kl=kl)
+        sim.attach_cache(cache)
         surrogates = train_surrogates(config, sim, cov,
                                       workers=_workers(), save=False)
         design_mc = monte_carlo(sim, gsamples, workers=_workers())

@@ -52,7 +52,7 @@ def test_solve_writes_state_and_eigenvalue(config_path, workdir, capsys):
     assert "rightmost eigenvalue" in out
     payload = json.loads((workdir / "out" / "solve.json").read_text())
     assert payload["eigenvalue"]["re"] < 0.0
-    assert payload["steady"]["converged"] is True
+    assert payload["steady"]["residual"] <= 1e-8 * payload["steady"]["reference"]
     assert payload["config"]["benchmark"] == "obstacle"
     assert payload["config"]["assess"]["sample_seed"] == 7
     assert payload["xi"] == [0.0, 0.0]
@@ -232,3 +232,28 @@ def test_cache_inspect_and_clear(config_path, workdir, capsys):
     assert not (workdir / "out" / "cache.jsonl").exists()
     assert main(["cache", "--config", str(config_path), "inspect"]) == 0
     assert "no cache" in capsys.readouterr().out
+
+
+def test_truncated_surrogate_is_config_error(workdir, capsys):
+    path = write_config(workdir / "gpbad.yaml",
+                        surrogates={"models": ["gp"]},
+                        paths={"outdir": "out_gpbad", "cache": None})
+    target = surrogate_path(load_config(path), "gp", 0.05)
+    target.parent.mkdir(parents=True)
+    target.write_text('{"format": "flowstab-surrogate", "kind": "gp", "par')
+    assert main(["assess", "--config", str(path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cache_inspect_torn_tail(workdir, capsys):
+    path = write_config(workdir / "torn.yaml",
+                        paths={"outdir": "out_torn", "cache": "c.jsonl"})
+    cache = workdir / "out_torn" / "c.jsonl"
+    cache.parent.mkdir(parents=True)
+    whole = json.dumps({"key": "k", "fingerprint": "fp", "xi": [0.0, 0.0],
+                        "lam_re": -1.0, "lam_im": 0.0, "failed": False})
+    cache.write_text(whole + "\n" + whole[:30])
+    assert main(["cache", "--config", str(path), "inspect"]) == 0
+    captured = capsys.readouterr()
+    assert "1 records, 0 failed" in captured.out
+    assert "torn last line" in captured.err

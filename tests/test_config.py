@@ -179,3 +179,10 @@ def test_simulator_cache_wiring(tmp_path):
     nocache = config_from_dict(minimal(paths={"cache": None}),
                                base_dir=tmp_path)
     assert build_simulator(nocache, 0.01).cache is None
+
+
+def test_workers_is_not_a_config_key():
+    # the worker count is a command-line setting (--workers) only
+    with pytest.raises(ConfigError, match="unknown top-level keys: workers"):
+        config_from_dict(minimal(workers=2))
+    assert "workers" not in config_from_dict(minimal()).resolved()

@@ -1,7 +1,5 @@
 """Mesh construction: counts, tags, grading, and bookkeeping invariants."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -132,13 +130,3 @@ def test_misaligned_requests_rejected():
         geometric_breaks(0.0, 1.0, 4, ratio=0.5, refine="end")
     with pytest.raises(GeometryError):
         build_space(channel_mesh(2, 2), "p2")
-
-
-def test_mesh_json_export(tmp_path):
-    mesh = step_mesh(refine=1)
-    path = tmp_path / "mesh.json"
-    mesh.to_json(path)
-    doc = json.loads(path.read_text())
-    assert doc["n_cells"] == mesh.n_cells
-    assert doc["boundary"]["inflow"]["kind"] == "dirichlet"
-    assert np.array(doc["cell_mask"]).sum() == mesh.n_cells

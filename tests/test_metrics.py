@@ -11,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from flowstab.errors import ConfigError
 from flowstab.metrics import (Report, build_report, kde, kde_grid,
-                              ks_statistic, moments, prob_nonneg, rmse,
-                              silverman_bandwidth)
+                              ks_statistic, metrics_csv, moments, prob_nonneg,
+                              rmse, silverman_bandwidth)
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 vectors = hnp.arrays(np.float64, st.integers(1, 40), elements=finite)
@@ -219,11 +219,12 @@ def test_report_file_round_trip(tmp_path):
     assert len(data["kde"]["abscissae"]) == 64
 
     mpath = tmp_path / "metrics.csv"
-    report.metrics_csv(mpath)
+    metrics_csv([report], mpath)
     lines = mpath.read_text().strip().splitlines()
-    assert lines[0] == "metric,mc,sc,gp"
-    assert lines[1].startswith("rmse,,")
-    assert float(lines[2].split(",")[1]) == report.columns["mc"]["mu"]
+    assert lines[0] == "# toy"
+    assert lines[1] == "metric,mc,sc,gp"
+    assert lines[2].startswith("rmse,,")
+    assert float(lines[3].split(",")[1]) == report.columns["mc"]["mu"]
 
     kpath = tmp_path / "kde.csv"
     report.kde_csv(kpath)

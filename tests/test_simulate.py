@@ -9,14 +9,14 @@ import json
 import numpy as np
 import pytest
 
+from flowstab import steady
 from flowstab.assembly import SpatialField
 from flowstab.eigen import build_problem, rightmost
 from flowstab.errors import ConfigError
 from flowstab.meshes import build_space, channel_mesh
 from flowstab.randomfield import kl_decompose
 from flowstab.simulate import (EvalCache, McResult, SampleRecord, SampleSet,
-                               Simulator, family_distribution, monte_carlo,
-                               run_simulator)
+                               Simulator, family_distribution, monte_carlo)
 from flowstab.steady import build_operators, solve_steady
 from flowstab.viscosity import build_affine, build_lognormal
 
@@ -38,6 +38,13 @@ def make_sim(toy, kind="affine", cov=0.1, **kwargs):
     else:
         model = build_lognormal(NU1, cov, kl, 2, 3)
     return Simulator(mesh, space, model, label="toy-channel", **kwargs)
+
+
+def run_one(sim, xi):
+    """One cached evaluation: a single-sample Monte Carlo run."""
+    distribution = family_distribution(sim.model.basis.family)
+    samples = SampleSet(np.array([xi], dtype=float), 0, distribution)
+    return monte_carlo(sim, samples).records[0]
 
 
 def test_family_distribution_map():
@@ -67,25 +74,11 @@ def test_sample_set_uniform_bounds():
         SampleSet.draw(0, 2, "normal", seed=0)
 
 
-def test_sample_set_csv_round_trip(tmp_path):
-    s = SampleSet.draw(20, 2, "uniform", seed=9)
-    path = tmp_path / "samples.csv"
-    s.to_csv(path)
-    back = SampleSet.from_csv(path)
-    np.testing.assert_array_equal(back.xi, s.xi)
-    assert back.seed == 9 and back.distribution == "uniform"
-    assert back.content_hash() == s.content_hash()
-    with pytest.raises(ConfigError):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("x,y\n1,2\n")
-        SampleSet.from_csv(bad)
-
-
 def test_run_at_zero_matches_deterministic(toy):
     # the affine model at the origin is exactly the constant mean viscosity
     mesh, space, _ = toy
     sim = make_sim(toy)
-    record = run_simulator(sim, [0.0, 0.0])
+    record = run_one(sim, [0.0, 0.0])
     assert not record.failed
 
     ops = build_operators(mesh, space, SpatialField.constant(mesh, NU1))
@@ -101,13 +94,13 @@ def test_run_at_zero_matches_deterministic(toy):
 def test_repeat_run_is_bitwise_equal(toy):
     sim = make_sim(toy)
     xi = [0.3, -0.4]
-    assert sim.run(xi) == sim.run(xi)
+    assert run_one(sim, xi) == run_one(sim, xi)
 
 
 def test_cache_hit_skips_computation(toy, tmp_path, monkeypatch):
     sim = make_sim(toy)
     sim.attach_cache(tmp_path / "cache.jsonl")
-    first = sim.run([0.2, 0.1])
+    first = run_one(sim, [0.2, 0.1])
 
     calls = {"n": 0}
     original = Simulator.compute
@@ -117,7 +110,7 @@ def test_cache_hit_skips_computation(toy, tmp_path, monkeypatch):
         return original(self, xi)
 
     monkeypatch.setattr(Simulator, "compute", counting)
-    again = sim.run([0.2, 0.1])
+    again = run_one(sim, [0.2, 0.1])
     assert calls["n"] == 0
     assert again == first
 
@@ -126,19 +119,19 @@ def test_cache_survives_reload(toy, tmp_path):
     path = tmp_path / "cache.jsonl"
     sim = make_sim(toy)
     sim.attach_cache(path)
-    record = sim.run([0.25, -0.5])
+    record = run_one(sim, [0.25, -0.5])
 
     fresh = make_sim(toy)
     fresh.attach_cache(path)
     assert len(fresh.cache) == 1
-    assert fresh.run([0.25, -0.5]) == record
+    assert run_one(fresh, [0.25, -0.5]) == record
 
 
 def test_cache_fingerprint_mismatch_forbids_reuse(toy, tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     sim = make_sim(toy)
     sim.attach_cache(path)
-    sim.run([0.1, 0.1])
+    run_one(sim, [0.1, 0.1])
 
     # poison the stored record: claim it came from a different configuration
     lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -156,7 +149,7 @@ def test_cache_fingerprint_mismatch_forbids_reuse(toy, tmp_path, monkeypatch):
     monkeypatch.setattr(Simulator, "compute", counting)
     reloaded = make_sim(toy)
     reloaded.attach_cache(path)
-    record = reloaded.run([0.1, 0.1])
+    record = run_one(reloaded, [0.1, 0.1])
     assert calls["n"] == 1
     assert record.lam_re != 123.0
 
@@ -176,7 +169,7 @@ def test_monte_carlo_single_sample(toy):
     result = monte_carlo(sim, samples)
     assert isinstance(result, McResult)
     assert result.n == 1 and result.n_failed == 0
-    assert result.records[0] == sim.run([0.0, 0.0])
+    assert result.records[0] == sim.compute([0.0, 0.0])
     assert result.sample_hash == samples.content_hash()
 
 
@@ -273,3 +266,48 @@ def test_eval_cache_append_only(tmp_path):
     cache.put("k1", SampleRecord((1.0,), 99.0, 0.0, False))
     assert cache.get("k1") == r1
     assert len(path.read_text().splitlines()) == 1
+
+
+def test_singular_steady_solve_fails_only_its_sample(toy, monkeypatch):
+    sim = make_sim(toy)
+    samples = SampleSet.draw(2, 2, "uniform", seed=4)
+
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(steady, "splu", singular)
+    result = monte_carlo(sim, samples)
+    assert result.n_failed == 2
+    assert all(r.note.startswith("steady solve: saddle-point factorization")
+               for r in result.records)
+    assert np.isnan(result.lam_re).all()
+
+
+def cache_line(key, lam_re):
+    record = SampleRecord((0.0,), lam_re, 0.0, False)
+    return json.dumps({"key": key, "fingerprint": "fp", **record.to_dict()})
+
+
+def test_eval_cache_skips_torn_last_line(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    path.write_text(cache_line("k1", -1.0) + "\n" + cache_line("k2", -2.0)[:25])
+    cache = EvalCache(path, "fp")
+    assert len(cache) == 1 and cache.get("k1").lam_re == -1.0
+    assert "torn last line" in capsys.readouterr().err
+
+    # the next append replaces the torn tail instead of gluing onto it
+    cache.put("k3", SampleRecord((3.0,), -3.0, 0.0, False))
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2 and lines[0] == cache_line("k1", -1.0)
+    assert json.loads(lines[1])["key"] == "k3"
+    reloaded = EvalCache(path, "fp")
+    assert len(reloaded) == 2 and reloaded.get("k3").lam_re == -3.0
+    assert capsys.readouterr().err == ""
+
+
+def test_eval_cache_rejects_corrupt_inner_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(cache_line("k1", -1.0) + "\n{not json\n"
+                    + cache_line("k2", -2.0) + "\n")
+    with pytest.raises(ConfigError, match=r"c\.jsonl, line 2"):
+        EvalCache(path, "fp")

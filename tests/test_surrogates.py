@@ -5,18 +5,18 @@ profile-likelihood audit) rather than through the module's own helpers;
 the network tests lean on realizable targets and symmetry arguments.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from flowstab.errors import TrainingError
+from flowstab.errors import ConfigError, TrainingError
 from flowstab.gpc import GpcBasis
 from flowstab.quadrature import smolyak
 from flowstab.surrogates import (GpSurrogate, NnSurrogate, Scaler, ScSurrogate,
-                                 TrainingSet, evaluate_csv, gp_train,
-                                 load_surrogate, nn_train, save_surrogate,
-                                 sc_train, stride_for_fraction)
+                                 TrainingSet, gp_train, load_surrogate,
+                                 nn_train, save_surrogate, sc_train)
 
 
 @pytest.fixture(scope="module")
@@ -55,10 +55,6 @@ def test_subsample_counts(grid29):
     assert ts241.subsample(20).n == 13
     assert ts241.subsample(10).n == 25
     assert ts29.subsample(1) is ts29
-    assert stride_for_fraction(29, 0.20) == 5
-    assert stride_for_fraction(29, 0.25) == 4
-    assert stride_for_fraction(241, 0.05) == 20
-    assert stride_for_fraction(241, 0.10) == 10
 
 
 def test_subsample_rescales_on_subset(grid29):
@@ -108,11 +104,10 @@ def test_sc_complex_targets_track_imaginary_channel(grid29):
     pts = np.random.default_rng(1).standard_normal((20, 2))
     np.testing.assert_allclose(s.evaluate(pts), basis.evaluate(pts)[:, 1],
                                atol=1e-10)
-    np.testing.assert_allclose(s.evaluate_imag(pts), basis.evaluate(pts)[:, 3],
-                               atol=1e-10)
+    np.testing.assert_allclose(basis.evaluate(pts) @ s.imag_coeffs,
+                               basis.evaluate(pts)[:, 3], atol=1e-10)
     real_only = sc_train(grid29, targets.real, 2)
-    with pytest.raises(ValueError):
-        real_only.evaluate_imag(pts)
+    assert real_only.imag_coeffs is None
 
 
 def test_sc_moments_match_sampling(grid29):
@@ -323,16 +318,19 @@ def test_serialization_round_trips(grid29, tmp_path):
                                rtol=1e-9, atol=1e-12)
 
 
-def test_evaluate_csv_batch(grid29, tmp_path):
-    s = sc_train(grid29, np.sin(grid29.nodes[:, 0]), 3)
-    pts = np.random.default_rng(6).standard_normal((8, 2))
-    src = tmp_path / "xi.csv"
-    src.write_text("xi1,xi2\n"
-                   + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in pts)
-                   + "\n")
-    out = tmp_path / "lam.csv"
-    assert evaluate_csv(s, src, out) == 8
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "lambda_re"
-    got = np.array([float(v) for v in lines[1:]])
-    np.testing.assert_allclose(got, s.evaluate(pts), rtol=1e-15)
+def test_load_rejects_foreign_and_corrupt_files(grid29, tmp_path):
+    path = tmp_path / "sc.json"
+    save_surrogate(sc_train(grid29, np.ones(29), 1), path)
+    text = path.read_text()
+    doc = json.loads(text)
+    cases = {
+        "truncated": text[:len(text) // 2],
+        "foreign": json.dumps({"format": "other", "version": 1}),
+        "version": json.dumps({**doc, "version": 99}),
+        "kind": json.dumps({**doc, "kind": "rbf"}),
+        "fields": json.dumps({**doc, "params": {}}),
+    }
+    for name, body in cases.items():
+        path.write_text(body)
+        with pytest.raises(ConfigError):
+            load_surrogate(path)
