@@ -18,12 +18,13 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from .config import (ExperimentConfig, build_mesh, build_kl, build_model,
-                     build_simulator, build_space_for, load_config)
+from .config import (ExperimentConfig, build_mesh, build_kl, build_simulator,
+                     build_space_for, load_config)
 from .assembly import SpatialField
 from .eigen import build_problem, rightmost, ritz_to_csv
 from .errors import (ConfigError, ConvergenceError, EigenError,
@@ -73,10 +74,7 @@ def train_surrogates(config: ExperimentConfig, sim: Simulator, cov: float,
         targets = targets_re
 
     surrogates: dict[str, object] = {}
-    provenance = {"config": config.resolved(), "cov": cov,
-                  "model": sim.model.describe(),
-                  "design": {"n_nodes": int(samples.n),
-                             "stride": config.stride}}
+    provenance = surrogate_provenance(config, sim, cov, samples.n)
     for name in config.models:
         start = time.perf_counter()
         if name == "sc":
@@ -98,15 +96,26 @@ def train_surrogates(config: ExperimentConfig, sim: Simulator, cov: float,
     return surrogates
 
 
+def surrogate_provenance(config: ExperimentConfig, sim: Simulator, cov: float,
+                         n_nodes: int) -> dict:
+    """What `train` stores with each surrogate, as read back from JSON."""
+    return json.loads(json.dumps({
+        "config": config.resolved(), "cov": cov, "model": sim.model.describe(),
+        "design": {"n_nodes": int(n_nodes), "stride": config.stride}}))
+
+
 def ensure_surrogates(config: ExperimentConfig, sim: Simulator, cov: float,
                       workers: int = 1) -> dict:
-    """Load previously trained surrogates, training any that are missing."""
-    missing = [name for name in config.models
-               if not surrogate_path(config, name, cov).exists()]
-    if missing:
-        return train_surrogates(config, sim, cov, workers=workers)
-    return {name: load_surrogate(surrogate_path(config, name, cov))
-            for name in config.models}
+    """Load the trained surrogates, or train them all again when a file is
+    missing or its stored provenance is not what `train` would write now."""
+    paths = {name: surrogate_path(config, name, cov) for name in config.models}
+    if all(path.exists() for path in paths.values()):
+        loaded = {name: load_surrogate(path) for name, path in paths.items()}
+        want = surrogate_provenance(config, sim, cov, design_samples(config)[1].n)
+        if all(json.loads(path.read_text()).get("provenance") == want
+               for path in paths.values()):
+            return loaded
+    return train_surrogates(config, sim, cov, workers=workers)
 
 
 def assess_one(config: ExperimentConfig, sim: Simulator, cov: float,
@@ -157,17 +166,14 @@ def _resolve_workers(args) -> int:
 def cmd_solve(args) -> int:
     config = load_config(args.config)
     cov = config.covs[0]
-    mesh = build_mesh(config)
-    space = build_space_for(config, mesh)
-    model = build_model(config, build_kl(config, mesh), cov)
     xi = _parse_xi(args.xi, config.m)
+    sim = build_simulator(config, cov, use_cache=False)
 
     config.outdir.mkdir(parents=True, exist_ok=True)
-    visc = model.evaluate(xi)
-    ops = build_operators(mesh, space, visc)
+    visc = sim.model.evaluate(xi)
     start = time.perf_counter()
     try:
-        steady = solve_steady(ops, config.solver)
+        steady, eig = sim.solve(visc)
     except ConvergenceError as exc:
         trace_path = config.outdir / "solve_trace.json"
         trace_path.write_text(json.dumps(
@@ -177,12 +183,8 @@ def cmd_solve(args) -> int:
         print(f"steady solve failed; trace written to {trace_path}",
               file=sys.stderr)
         raise
-    print(f"[solve] steady state: {time.perf_counter() - start:.2f} s")
-
-    start = time.perf_counter()
-    eig = rightmost(build_problem(ops, steady.state, delta=config.delta),
-                    k=config.k, shift=config.shift, seed=config.eigen_seed)
-    print(f"[solve] eigensolve: {time.perf_counter() - start:.2f} s")
+    print(f"[solve] steady state and eigensolve: "
+          f"{time.perf_counter() - start:.2f} s")
 
     np.save(config.outdir / "velocity.npy", steady.state.velocity)
     np.save(config.outdir / "pressure.npy", steady.state.pressure)
@@ -287,17 +289,17 @@ def cmd_cache(args) -> int:
     if not path.exists():
         print(f"no cache at {path}")
         return 0
-    fingerprints: dict[str, int] = {}
-    failed = 0
-    for record in read_cache(path)[0]:
-        fingerprints[record["fingerprint"]] = \
-            fingerprints.get(record["fingerprint"], 0) + 1
-        failed += bool(record.get("failed"))
-    total = sum(fingerprints.values())
-    print(f"{path}: {total} records, {failed} failed, "
+    records = read_cache(path)[0]
+    fingerprints = Counter(record["fingerprint"] for record in records)
+    # failure notes start with the stage: viscosity, steady solve, eigensolve
+    reasons = Counter(str(record.get("note", "")).partition(":")[0] or "unknown"
+                      for record in records if record["failed"])
+    print(f"{path}: {len(records)} records, {sum(reasons.values())} failed, "
           f"{len(fingerprints)} distinct configurations")
     for fp, count in sorted(fingerprints.items()):
         print(f"  {fp[:16]}...  {count}")
+    for reason, count in sorted(reasons.items()):
+        print(f"  failed ({reason}): {count}")
     return 0
 
 

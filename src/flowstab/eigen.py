@@ -31,7 +31,7 @@ from scipy import linalg, sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from .errors import EigenError, ShiftError
-from .steady import FlowState, Operators, momentum_operator
+from .steady import FlowState, Operators, newton_operator, picard_operator
 
 #: exclusion radius around 1/delta, relative to |1/delta|
 _CLUSTER_RTOL = 0.01
@@ -75,8 +75,8 @@ def build_problem(ops: Operators, state: FlowState,
     """Assemble the pencil at a steady state, interior DOFs only."""
     if delta == 0.0:
         raise EigenError("delta must be nonzero; the plain mass pencil is singular")
-    iu = ops.space.interior
-    jacobian = momentum_operator(ops, state, "newton")
+    iu, u = ops.space.interior, state.velocity
+    jacobian = newton_operator(ops, u, picard_operator(ops, u))
     j_ii = jacobian[iu][:, iu]
     div_i = ops.divergence[:, iu]
     mass_ii = ops.mass[iu][:, iu]
@@ -86,17 +86,24 @@ def build_problem(ops: Operators, state: FlowState,
     return EigenProblem(lhs, rhs, delta)
 
 
-def _split_cluster(values: np.ndarray, delta: float | None):
-    if delta is None:
-        return values, np.array([], dtype=complex)
-    spur = 1.0 / delta
-    drop = np.abs(values - spur) < _CLUSTER_RTOL * abs(spur)
-    return values[~drop], values[drop]
-
-
-def _residual(problem: EigenProblem, value: complex, vec: np.ndarray) -> float:
-    r = problem.lhs @ vec - value * (problem.rhs @ vec)
-    return float(np.linalg.norm(r) / np.linalg.norm(vec))
+def _select(problem: EigenProblem, values: np.ndarray, vecs: np.ndarray,
+            shift: complex, k: int, method: str, empty: str) -> EigenResult:
+    """The rightmost of `values` outside the ``1/delta`` cluster; raises
+    :class:`EigenError` with message `empty` when nothing is left."""
+    drop = np.zeros(values.shape, dtype=bool)
+    if problem.delta is not None:
+        spur = 1.0 / problem.delta
+        drop = np.abs(values - spur) < _CLUSTER_RTOL * abs(spur)
+    if drop.all():
+        raise EigenError(empty)
+    keep = np.flatnonzero(~drop)
+    best = keep[np.argmax(values[keep].real)]
+    value, vec = values[best], vecs[:, best]
+    residual = (np.linalg.norm(problem.lhs @ vec - value * (problem.rhs @ vec))
+                / np.linalg.norm(vec))
+    return EigenResult(complex(value), vec, np.sort_complex(values[keep]),
+                       np.sort_complex(values[drop]), float(residual),
+                       shift, k, method)
 
 
 def dense_rightmost(problem: EigenProblem) -> EigenResult:
@@ -106,17 +113,8 @@ def dense_rightmost(problem: EigenProblem) -> EigenResult:
         raise EigenError(f"dense path limited to n <= 400, got {n}")
     values, vecs = linalg.eig(problem.lhs.toarray(), problem.rhs.toarray())
     finite = np.isfinite(values)
-    values, vecs = values[finite], vecs[:, finite]
-    kept, excluded = _split_cluster(values, problem.delta)
-    if kept.size == 0:
-        raise EigenError("no finite eigenvalues outside the shift cluster")
-    keep_idx = np.flatnonzero(np.isin(values, kept))
-    best = keep_idx[np.argmax(values[keep_idx].real)]
-    vec = vecs[:, best]
-    return EigenResult(complex(values[best]), vec, np.sort_complex(kept),
-                       np.sort_complex(excluded),
-                       _residual(problem, values[best], vec),
-                       0.0, n, "dense")
+    return _select(problem, values[finite], vecs[:, finite], 0.0, n, "dense",
+                   "no finite eigenvalues outside the shift cluster")
 
 
 def rightmost(problem: EigenProblem, k: int = 24, shift: float = 0.0,
@@ -145,22 +143,14 @@ def rightmost(problem: EigenProblem, k: int = 24, shift: float = 0.0,
         if mu.size == 0:
             raise EigenError("Arnoldi iteration returned no converged values") from exc
     values = shift + 1.0 / mu
-    kept, excluded = _split_cluster(values, problem.delta)
-    if kept.size == 0:
-        raise EigenError("all converged Ritz values sit in the shift cluster; "
-                         "increase k or move the shift")
-    sel = np.argmax(kept.real)
+    result = _select(problem, values, vecs, shift, k_eff, "arnoldi",
+                     "all converged Ritz values sit in the shift cluster; "
+                     "increase k or move the shift")
     # window-edge guard: smallest |mu| are the least converged directions
-    edge = np.abs(shift - kept) >= 0.9 * np.abs(shift - values).max()
-    if edge[sel] and k_eff < n - 2:
+    edge = np.abs(shift - result.eigenvalue) >= 0.9 * np.abs(shift - values).max()
+    if edge and k_eff < n - 2:
         return rightmost(problem, min(2 * k, n - 2), shift, seed, tol)
-    keep_idx = np.flatnonzero(np.isin(values, kept))
-    best = keep_idx[np.argmax(values[keep_idx].real)]
-    vec = vecs[:, best]
-    return EigenResult(complex(values[best]), vec, np.sort_complex(kept),
-                       np.sort_complex(excluded),
-                       _residual(problem, values[best], vec),
-                       shift, k_eff, "arnoldi")
+    return result
 
 
 def ritz_to_csv(result: EigenResult, path) -> None:

@@ -21,10 +21,11 @@ from typing import Optional
 
 import numpy as np
 
+from .assembly import SpatialField
 from .errors import ConfigError, EigenError, PositivityError, SolverError
-from .eigen import build_problem, rightmost
+from .eigen import EigenResult, build_problem, rightmost
 from .meshes import Mesh, MixedSpace
-from .steady import SolverSettings, build_operators, solve_steady
+from .steady import SolverSettings, SteadyResult, build_operators, solve_steady
 from .viscosity import ViscosityModel
 
 DISTRIBUTIONS = ("normal", "uniform")
@@ -132,7 +133,7 @@ class EvalCache:
             if complete < self.path.stat().st_size:
                 self._cut = complete
             for data in records:
-                if data.get("fingerprint") != fingerprint:
+                if data["fingerprint"] != fingerprint:
                     continue
                 self._store.setdefault(data["key"], SampleRecord.from_dict(data))
 
@@ -156,19 +157,30 @@ class EvalCache:
             fh.write((json.dumps(data, sort_keys=True) + "\n").encode())
 
 
-def read_cache(path) -> tuple[list, int]:
-    """Decoded lines of a cache file, and the byte length of its whole lines.
+def _is_record(data) -> bool:
+    """Whether a decoded cache line holds a string key and fingerprint and
+    the fields of a :class:`SampleRecord`."""
+    try:
+        SampleRecord.from_dict(data)
+    except (KeyError, TypeError, ValueError):
+        return False
+    return isinstance(data["key"], str) and isinstance(data["fingerprint"], str)
 
-    A run killed mid-append can leave a torn last line; it is skipped with
-    a warning on stderr and does not count as whole.  An undecodable line
-    anywhere else means the file is corrupt.
+
+def read_cache(path) -> tuple[list, int]:
+    """Records of a cache file, and the byte length of its whole lines.
+
+    A run killed mid-append can leave a torn last line; an undecodable last
+    line is skipped with a warning on stderr and does not count as whole.
+    An undecodable line anywhere else, or any line that decodes to
+    something other than a record, means the file is corrupt.
     """
     lines = Path(path).read_bytes().splitlines(keepends=True)
     records, complete = [], 0
     for number, line in enumerate(lines, 1):
         if line.strip():
             try:
-                records.append(json.loads(line))
+                data = json.loads(line)
             except ValueError:
                 if number < len(lines):
                     raise ConfigError(
@@ -176,6 +188,9 @@ def read_cache(path) -> tuple[list, int]:
                 print(f"warning: {path}, line {number}: skipping a torn "
                       f"last line", file=sys.stderr)
                 break
+            if not _is_record(data):
+                raise ConfigError(f"{path}, line {number}: not a cache record")
+            records.append(data)
         if line.endswith(b"\n"):
             complete += len(line)
     return records, complete
@@ -204,6 +219,11 @@ class Simulator:
     seed: int = 0
     label: str = ""
     cache: Optional[EvalCache] = field(default=None, init=False)
+
+    def __post_init__(self):
+        # a setup error, not a per-sample failure: abort before any sample
+        if self.delta == 0.0:
+            raise EigenError("delta must be nonzero; the plain mass pencil is singular")
 
     def describe(self) -> dict:
         xs, ys = self.mesh.xs, self.mesh.ys
@@ -236,35 +256,38 @@ class Simulator:
     def attach_cache(self, path) -> None:
         self.cache = EvalCache(path, self.fingerprint)
 
+    def solve(self, viscosity: SpatialField) -> tuple[SteadyResult, EigenResult]:
+        """Steady state and rightmost eigenpair for one viscosity field.
+
+        Raises :class:`SolverError` or :class:`EigenError` on failure.
+        """
+        ops = build_operators(self.mesh, self.space, viscosity)
+        steady = solve_steady(ops, self.settings)
+        problem = build_problem(ops, steady.state, delta=self.delta)
+        return steady, rightmost(problem, k=self.k, shift=self.shift, seed=self.seed)
+
     def compute(self, xi) -> SampleRecord:
         """Run the full chain for one sample; failures become records."""
         xi = np.asarray(xi, dtype=float).ravel()
         key = tuple(float(v) for v in xi)
         try:
-            visc = self.model.evaluate(xi)
+            steady, eig = self.solve(self.model.evaluate(xi))
         except PositivityError as exc:
-            return SampleRecord(key, float("nan"), float("nan"), True,
-                                f"viscosity: {exc}")
-        ops = build_operators(self.mesh, self.space, visc)
-        try:
-            steady = solve_steady(ops, self.settings)
+            note = f"viscosity: {exc}"
         except SolverError as exc:
-            return SampleRecord(key, float("nan"), float("nan"), True,
-                                f"steady solve: {exc}")
-        problem = build_problem(ops, steady.state, delta=self.delta)
-        try:
-            eig = rightmost(problem, k=self.k, shift=self.shift, seed=self.seed)
+            note = f"steady solve: {exc}"
         except EigenError as exc:
-            return SampleRecord(key, float("nan"), float("nan"), True,
-                                f"eigensolve: {exc}")
-        trace = {"steady": steady.trace, "residual": steady.residual,
-                 "eigen": {"method": eig.method, "k": eig.k,
-                           "residual": eig.residual}}
-        digest = hashlib.sha256(
-            json.dumps(trace, sort_keys=True).encode()).hexdigest()[:16]
-        lam = eig.eigenvalue
-        return SampleRecord(key, float(lam.real), float(lam.imag), False,
-                            "", digest)
+            note = f"eigensolve: {exc}"
+        else:
+            trace = {"steady": steady.trace, "residual": steady.residual,
+                     "eigen": {"method": eig.method, "k": eig.k,
+                               "residual": eig.residual}}
+            digest = hashlib.sha256(
+                json.dumps(trace, sort_keys=True).encode()).hexdigest()[:16]
+            lam = eig.eigenvalue
+            return SampleRecord(key, float(lam.real), float(lam.imag), False,
+                                "", digest)
+        return SampleRecord(key, float("nan"), float("nan"), True, note)
 
 
 # handed to forked pool workers through inherited memory; boundary profiles

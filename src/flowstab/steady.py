@@ -1,16 +1,20 @@
 """Steady Navier-Stokes solves with the hybrid Picard/Newton iteration.
 
-The nonlinear saddle-point system is solved in correction form: every
-step factors the linearized operator (convection only for Picard steps,
-convection plus the velocity-gradient coupling for Newton steps) and adds
-the resulting update to the current state.  The initial iterate is the
-Stokes solution for the same viscosity field.
+The nonlinear saddle-point system is solved in correction form.  Each
+iterate is evaluated once: the convection matrix at its velocity is
+assembled once, and ``diffusion + convection`` serves as the residual's
+momentum matrix, as the Picard operator and as the base of the Newton
+Jacobian (which adds the velocity-gradient coupling).  The residual
+computed there is the right-hand side of the correction that leads to
+the next iterate.  The initial iterate is the Stokes solution for the
+same viscosity field.
 
 Dirichlet data enters through lifting: assembled matrices keep full size,
 the reduced system runs on interior velocity DOFs plus all pressure DOFs,
 and convergence is measured by the Euclidean norm of the reduced residual
-relative to the lifted Stokes right-hand side.  Linear systems use a
-sparse direct factorization; there is no line search.
+relative to the lifted Stokes right-hand side, which is formed once per
+solve.  Linear systems use a sparse direct factorization; there is no
+line search.
 """
 
 from __future__ import annotations
@@ -104,10 +108,10 @@ def lifted_stokes_rhs(ops: Operators) -> np.ndarray:
     return np.concatenate([rhs_u, rhs_p])
 
 
-def solve_stokes(ops: Operators) -> FlowState:
-    """Stokes flow for the same data; the nonlinear initial iterate."""
+def solve_stokes(ops: Operators, rhs: np.ndarray) -> FlowState:
+    """Stokes flow for the lifted right-hand side `rhs`; the nonlinear
+    initial iterate."""
     iu = ops.space.interior
-    rhs = lifted_stokes_rhs(ops)
     sol = _factor(_saddle(ops, ops.diffusion)).solve(rhs)
     velocity = np.zeros(ops.space.n_u)
     velocity[ops.space.dirichlet] = ops.space.dirichlet_values
@@ -115,32 +119,36 @@ def solve_stokes(ops: Operators) -> FlowState:
     return FlowState(velocity, sol[iu.size:])
 
 
-def momentum_operator(ops: Operators, state: FlowState, kind: str) -> sparse.csr_matrix:
-    """Linearized momentum block at `state`: Picard keeps convection only,
-    Newton adds the velocity-gradient coupling."""
-    mom = ops.diffusion + assemble_convection(ops.mesh, ops.space, state.velocity)
-    if kind == "newton":
-        mom = mom + assemble_newton_derivative(ops.mesh, ops.space, state.velocity)
-    elif kind != "picard":
-        raise ValueError(f"unknown step kind {kind!r}")
-    return mom
+def picard_operator(ops: Operators, velocity: np.ndarray) -> sparse.csr_matrix:
+    """``diffusion + convection(velocity)``: the residual's momentum matrix,
+    the Picard operator and the base of the Newton Jacobian."""
+    return ops.diffusion + assemble_convection(ops.mesh, ops.space, velocity)
 
 
-def residual(ops: Operators, state: FlowState) -> np.ndarray:
-    """Reduced nonlinear residual at a state with correct boundary values."""
+def newton_operator(ops: Operators, velocity: np.ndarray,
+                    picard: sparse.csr_matrix) -> sparse.csr_matrix:
+    """Newton Jacobian: the Picard operator at `velocity` plus the
+    velocity-gradient coupling."""
+    return picard + assemble_newton_derivative(ops.mesh, ops.space, velocity)
+
+
+def residual(ops: Operators, state: FlowState,
+             picard: sparse.csr_matrix) -> np.ndarray:
+    """Reduced nonlinear residual at a state with correct boundary values;
+    `picard` is :func:`picard_operator` at the state's velocity."""
     iu = ops.space.interior
-    conv = assemble_convection(ops.mesh, ops.space, state.velocity)
-    momentum = (ops.forcing_u - (ops.diffusion + conv) @ state.velocity
+    momentum = (ops.forcing_u - picard @ state.velocity
                 - ops.divergence.T @ state.pressure)
     continuity = ops.forcing_p - ops.divergence @ state.velocity
     return np.concatenate([momentum[iu], continuity])
 
 
-def nonlinear_step(ops: Operators, state: FlowState, kind: str) -> FlowState:
-    """One Picard or Newton correction from `state`."""
+def nonlinear_step(ops: Operators, state: FlowState,
+                   momentum: sparse.spmatrix, res: np.ndarray) -> FlowState:
+    """One correction from `state`: the saddle system with momentum block
+    `momentum` solved for `res`, the residual at `state`."""
     iu = ops.space.interior
-    res = residual(ops, state)
-    delta = _factor(_saddle(ops, momentum_operator(ops, state, kind))).solve(res)
+    delta = _factor(_saddle(ops, momentum)).solve(res)
     velocity = state.velocity.copy()
     velocity[iu] += delta[:iu.size]
     return FlowState(velocity, state.pressure + delta[iu.size:])
@@ -154,35 +162,32 @@ def solve_steady(ops: Operators, settings: SolverSettings | None = None) -> Stea
     diverges; the caller decides whether that realization is skipped.
     """
     settings = settings or SolverSettings()
-    reference = float(np.linalg.norm(lifted_stokes_rhs(ops)))
+    rhs = lifted_stokes_rhs(ops)
+    reference = float(np.linalg.norm(rhs))
     target = settings.rel_tol * reference
-    state = solve_stokes(ops)
-    trace = []
-
-    def record(kind, res_norm):
-        trace.append({"step": len(trace), "kind": kind, "residual": float(res_norm)})
-
-    res_norm = float(np.linalg.norm(residual(ops, state)))
-    record("stokes", res_norm)
-    if not np.isfinite(res_norm):
-        raise ConvergenceError("Stokes solve produced non-finite residual", trace)
-
-    plan = ["picard"] * settings.picard_steps + ["newton"] * settings.newton_steps
-    growth = 0
-    for kind in plan:
-        if res_norm <= target:
-            break
-        state = nonlinear_step(ops, state, kind)
-        new_norm = float(np.linalg.norm(residual(ops, state)))
-        record(kind, new_norm)
-        if not np.isfinite(new_norm):
-            raise ConvergenceError(f"{kind} step produced non-finite residual", trace)
+    state, kind = solve_stokes(ops, rhs), "stokes"
+    plan = iter(["picard"] * settings.picard_steps
+                + ["newton"] * settings.newton_steps)
+    trace, growth = [], 0
+    while True:
+        picard = picard_operator(ops, state.velocity)
+        res = residual(ops, state, picard)
+        res_norm = float(np.linalg.norm(res))
+        trace.append({"step": len(trace), "kind": kind, "residual": res_norm})
+        if not np.isfinite(res_norm):
+            what = "Stokes solve" if kind == "stokes" else f"{kind} step"
+            raise ConvergenceError(f"{what} produced non-finite residual", trace)
         if kind == "newton":
-            growth = growth + 1 if new_norm >= res_norm else 0
+            growth = growth + 1 if res_norm >= trace[-2]["residual"] else 0
             if growth >= settings.divergence_patience:
                 raise ConvergenceError(
                     f"Newton phase diverged for {growth} consecutive steps", trace)
-        res_norm = new_norm
+        kind = next(plan, None)
+        if res_norm <= target or kind is None:
+            break
+        momentum = (picard if kind == "picard"
+                    else newton_operator(ops, state.velocity, picard))
+        state = nonlinear_step(ops, state, momentum, res)
 
     if res_norm > target:
         raise ConvergenceError(

@@ -126,6 +126,16 @@ def test_bad_delta_exit_4(workdir):
     assert main(["solve", "--config", str(path)]) == 4
 
 
+def test_bad_delta_aborts_train_without_caching(workdir):
+    # delta = 0 is a setup error: the run aborts instead of recording one
+    # failed sample per design node
+    path = write_config(workdir / "delta0_train.yaml",
+                        eigen={"seed": 0, "delta": 0.0},
+                        paths={"outdir": "out_d0t", "cache": "c.jsonl"})
+    assert main(["train", "--config", str(path), "--workers", "1"]) == 4
+    assert not (workdir / "out_d0t" / "c.jsonl").exists()
+
+
 def test_train_writes_surrogates(config_path, workdir, capsys):
     assert main(["train", "--config", str(config_path),
                  "--workers", "1"]) == 0
@@ -257,3 +267,85 @@ def test_cache_inspect_torn_tail(workdir, capsys):
     captured = capsys.readouterr()
     assert "1 records, 0 failed" in captured.out
     assert "torn last line" in captured.err
+
+
+def write_cache(path, records):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def cache_record(key, failed=False, note=""):
+    return {"key": key, "fingerprint": "fp", "xi": [0.0, 0.0],
+            "lam_re": float("nan") if failed else -1.0, "lam_im": 0.0,
+            "failed": failed, "note": note}
+
+
+@pytest.mark.parametrize("line", ["123", '{"a": 1}'])
+def test_cache_inspect_rejects_non_record_line(workdir, capsys, line):
+    path = write_config(workdir / "nonrecord.yaml",
+                        paths={"outdir": "out_nonrecord", "cache": "c.jsonl"})
+    cache = workdir / "out_nonrecord" / "c.jsonl"
+    write_cache(cache, [cache_record("k1")])
+    cache.write_text(cache.read_text() + line + "\n")
+    assert main(["cache", "--config", str(path), "inspect"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "line 2: not a cache record" in err
+
+
+def test_cache_inspect_groups_failures_by_reason(workdir, capsys):
+    path = write_config(workdir / "reasons.yaml",
+                        paths={"outdir": "out_reasons", "cache": "c.jsonl"})
+    write_cache(workdir / "out_reasons" / "c.jsonl", [
+        cache_record("k1"),
+        cache_record("k2", True, "steady solve: residual above target"),
+        cache_record("k3", True, "viscosity: negative at 3 points"),
+        cache_record("k4", True, "steady solve: Newton phase diverged"),
+    ])
+    assert main(["cache", "--config", str(path), "inspect"]) == 0
+    out = capsys.readouterr().out
+    assert "4 records, 3 failed, 1 distinct configurations" in out
+    assert "  failed (steady solve): 2" in out
+    assert "  failed (viscosity): 1" in out
+    assert "eigensolve" not in out
+
+
+def test_assess_retrains_stale_surrogates(workdir):
+    # editing the mean viscosity after `train` must not score the old
+    # surrogates: `assess` retrains and matches a run from scratch
+    stale = write_config(workdir / "stale.yaml",
+                         surrogates={"models": ["sc", "gp"]},
+                         assess={"n_mc": 4, "sample_seed": 7},
+                         paths={"outdir": "out_stale", "cache": "c.jsonl"})
+    assert main(["train", "--config", str(stale), "--workers", "1"]) == 0
+    edited = {"nu1": 6.0e-3, "covs": [0.05], "m": 2, "level": 2}
+    write_config(stale, viscosity=edited,
+                 surrogates={"models": ["sc", "gp"]},
+                 assess={"n_mc": 4, "sample_seed": 7},
+                 paths={"outdir": "out_stale", "cache": "c.jsonl"})
+    fresh = write_config(workdir / "fresh.yaml", viscosity=edited,
+                         surrogates={"models": ["sc", "gp"]},
+                         assess={"n_mc": 4, "sample_seed": 7},
+                         paths={"outdir": "out_fresh", "cache": None})
+    assert main(["assess", "--config", str(stale), "--workers", "1"]) == 0
+    assert main(["assess", "--config", str(fresh), "--workers", "1"]) == 0
+    for name in ("report_cov5pct.json", "metrics.csv", "kde_cov5pct.csv"):
+        assert ((workdir / "out_stale" / name).read_bytes()
+                == (workdir / "out_fresh" / name).read_bytes())
+    doc = json.loads(surrogate_path(load_config(stale), "sc", 0.05).read_text())
+    assert doc["provenance"]["config"]["viscosity"]["nu1"] == 6.0e-3
+
+
+def test_assess_after_train_loads_without_refitting(workdir, monkeypatch):
+    import flowstab.cli as cli
+
+    path = write_config(workdir / "reuse.yaml",
+                        surrogates={"models": ["sc"]},
+                        assess={"n_mc": 2, "sample_seed": 7},
+                        paths={"outdir": "out_reuse", "cache": "c.jsonl"})
+    assert main(["train", "--config", str(path), "--workers", "1"]) == 0
+
+    def refit(*args, **kwargs):
+        raise AssertionError("assess refitted a surrogate that was current")
+
+    monkeypatch.setattr(cli, "train_surrogates", refit)
+    assert main(["assess", "--config", str(path), "--workers", "1"]) == 0

@@ -311,3 +311,29 @@ def test_eval_cache_rejects_corrupt_inner_line(tmp_path):
                     + cache_line("k2", -2.0) + "\n")
     with pytest.raises(ConfigError, match=r"c\.jsonl, line 2"):
         EvalCache(path, "fp")
+
+
+@pytest.mark.parametrize("line", [
+    "123", '{"a": 1}', '["k", "fp"]',
+    '{"key": "k", "fingerprint": "fp", "xi": [0.0], "lam_re": "x", '
+    '"lam_im": 0.0, "failed": false}',
+    '{"key": 1, "fingerprint": "fp", "xi": [0.0], "lam_re": 0.0, '
+    '"lam_im": 0.0, "failed": false}'])
+@pytest.mark.parametrize("last", [False, True])
+def test_eval_cache_rejects_lines_that_are_not_records(tmp_path, line, last):
+    # a line that decodes but is not a record is corruption, even at the
+    # end of the file: only an undecodable last line counts as torn
+    path = tmp_path / "c.jsonl"
+    lines = [cache_line("k1", -1.0), line]
+    if not last:
+        lines.append(cache_line("k2", -2.0))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"c\.jsonl, line 2: not a cache record"):
+        EvalCache(path, "fp")
+
+
+def test_simulator_rejects_zero_delta(toy):
+    from flowstab.errors import EigenError
+
+    with pytest.raises(EigenError, match="delta must be nonzero"):
+        make_sim(toy, delta=0.0)

@@ -8,7 +8,8 @@ from flowstab.assembly import SpatialField
 from flowstab.errors import ConvergenceError
 from flowstab.meshes import build_space, channel_mesh, obstacle_mesh
 from flowstab.steady import (FlowState, SolverSettings, build_operators,
-                             nonlinear_step, residual, solve_steady,
+                             lifted_stokes_rhs, newton_operator, nonlinear_step,
+                             picard_operator, residual, solve_steady,
                              solve_stokes)
 
 NU = 0.1
@@ -57,7 +58,7 @@ def test_residual_matches_manual_assembly():
     mesh, space, ops, _ = poiseuille_setup()
     rng = np.random.default_rng(3)
     state = FlowState(rng.standard_normal(space.n_u), rng.standard_normal(space.n_p))
-    res = residual(ops, state)
+    res = residual(ops, state, picard_operator(ops, state.velocity))
     conv = assemble_convection(mesh, space, state.velocity)
     full = ops.forcing_u - (ops.diffusion + conv) @ state.velocity \
         - ops.divergence.T @ state.pressure
@@ -69,7 +70,10 @@ def test_residual_matches_manual_assembly():
 def test_newton_step_from_solution_stays_put():
     _, _, ops, _ = poiseuille_setup()
     state = solve_steady(ops).state
-    moved = nonlinear_step(ops, state, "newton")
+    picard = picard_operator(ops, state.velocity)
+    moved = nonlinear_step(ops, state,
+                           newton_operator(ops, state.velocity, picard),
+                           residual(ops, state, picard))
     assert np.abs(moved.velocity - state.velocity).max() < 1e-10
     assert np.abs(moved.pressure - state.pressure).max() < 1e-9
 
@@ -90,6 +94,23 @@ def test_obstacle_hybrid_convergence(obstacle_result):
     assert "picard" in kinds and "newton" in kinds
     # Picard phase comes before the Newton phase
     assert kinds.index("newton") > kinds.index("picard")
+
+
+def test_one_convection_assembly_per_iterate(monkeypatch):
+    # each iterate's convection matrix serves its residual and the
+    # correction that follows it, so it is assembled exactly once
+    import flowstab.steady as steady
+
+    mesh = obstacle_mesh(refine=1)
+    space = build_space(mesh, "q1")
+    ops = build_operators(mesh, space, SpatialField.constant(mesh, 5.36193e-3))
+    calls = []
+    original = steady.assemble_convection
+    monkeypatch.setattr(steady, "assemble_convection",
+                        lambda *args: calls.append(1) or original(*args))
+    result = solve_steady(ops)
+    assert len(result.trace) > 2
+    assert len(calls) == len(result.trace)
 
 
 def test_obstacle_newton_contraction_is_superlinear(obstacle_result):
@@ -127,7 +148,7 @@ def test_budget_exhaustion_raises_with_trace():
 
 def test_stokes_initial_iterate_satisfies_boundary_data():
     mesh, space, ops, _ = poiseuille_setup(nx=4, ny=2, length=2.0)
-    state = solve_stokes(ops)
+    state = solve_stokes(ops, lifted_stokes_rhs(ops))
     np.testing.assert_array_equal(state.velocity[space.dirichlet],
                                   space.dirichlet_values)
 
