@@ -56,7 +56,7 @@ def run_case(name, refine, csv_path=None):
     t_solve = time.perf_counter() - start
     print(f"steady solve: {t_solve:.2f} s, residual {steady.residual:.2e}")
 
-    problem = build_problem(ops, steady.state)
+    problem = build_problem(ops, steady)
     start = time.perf_counter()
     eig = rightmost(problem, k=k)
     t_eig = time.perf_counter() - start

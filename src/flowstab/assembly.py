@@ -132,7 +132,7 @@ def assemble_diffusion(mesh: Mesh, space: MixedSpace,
     nu = viscosity.values
     if nu.shape != qd.qw.shape:
         raise ValueError("viscosity field does not match the mesh quadrature")
-    if nu.min() <= 0.0:
+    if not nu.min() > 0.0:
         raise PositivityError(f"viscosity must be positive, min is {nu.min():.3e}")
     wnu = qd.qw * nu
     sxx = np.einsum("e,eq,aq,bq->eab", qd.sx**2, wnu, qd.dphi_ds, qd.dphi_ds)
@@ -215,22 +215,10 @@ def assemble_divergence(mesh: Mesh, space: MixedSpace) -> sparse.csr_matrix:
     ], format="csr")
 
 
-def assemble_forcing(mesh: Mesh, space: MixedSpace,
-                     body_force=None) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum and continuity right-hand sides.
-
-    `body_force` maps point arrays ``(x, y)`` to component arrays
-    ``(fx, fy)``; omitted means zero.  Rows of Dirichlet-constrained DOFs
-    carry the boundary values so that reduced systems can lift them.
-    """
-    nv = mesh.n_vnodes
+def assemble_forcing(mesh: Mesh, space: MixedSpace) -> np.ndarray:
+    """Momentum right-hand side: no body force, and the rows of
+    Dirichlet-constrained DOFs carry the boundary values so that reduced
+    systems can lift them."""
     f = np.zeros(space.n_u)
-    if body_force is not None:
-        qd = quad_data(mesh)
-        fx, fy = body_force(qd.qx, qd.qy)
-        lx = np.einsum("eq,aq->ea", qd.qw * np.asarray(fx, dtype=float), qd.phi)
-        ly = np.einsum("eq,aq->ea", qd.qw * np.asarray(fy, dtype=float), qd.phi)
-        np.add.at(f, mesh.cell_vnodes, lx)
-        np.add.at(f[nv:], mesh.cell_vnodes, ly)
     f[space.dirichlet] = space.dirichlet_values
-    return f, np.zeros(space.n_p)
+    return f

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (ExperimentConfig, build_mesh, build_kl, build_simulator,
-                     build_space_for, load_config)
+                     build_space_for, cov_tag, load_config)
 from .assembly import SpatialField
 from .eigen import build_problem, rightmost, ritz_to_csv
 from .errors import (ConfigError, ConvergenceError, EigenError,
@@ -37,12 +37,8 @@ from .surrogates import (TrainingSet, gp_train, load_surrogate, nn_train,
                          save_surrogate, sc_train)
 
 
-def _cov_tag(cov: float) -> str:
-    return f"cov{100.0 * cov:g}pct"
-
-
 def surrogate_path(config: ExperimentConfig, name: str, cov: float) -> Path:
-    return config.outdir / f"surrogate_{name}_{_cov_tag(cov)}.json"
+    return config.outdir / f"surrogate_{name}_{cov_tag(cov)}.json"
 
 
 def design_samples(config: ExperimentConfig):
@@ -87,7 +83,7 @@ def train_surrogates(config: ExperimentConfig, sim: Simulator, cov: float,
             else:
                 fitted = nn_train(design, seed=config.nn_seed)
         elapsed = time.perf_counter() - start
-        print(f"[train] {name} ({_cov_tag(cov)}): {elapsed:.2f} s")
+        print(f"[train] {name} ({cov_tag(cov)}): {elapsed:.2f} s")
         surrogates[name] = fitted
         if save:
             config.outdir.mkdir(parents=True, exist_ok=True)
@@ -126,7 +122,7 @@ def assess_one(config: ExperimentConfig, sim: Simulator, cov: float,
     start = time.perf_counter()
     result = monte_carlo(sim, samples, workers=workers)
     elapsed = time.perf_counter() - start
-    print(f"[assess] simulator x{samples.n} ({_cov_tag(cov)}): "
+    print(f"[assess] simulator x{samples.n} ({cov_tag(cov)}): "
           f"{elapsed:.2f} s ({elapsed / samples.n:.3f} s/sample)")
 
     ok_xi = samples.xi[result.ok]
@@ -140,7 +136,7 @@ def assess_one(config: ExperimentConfig, sim: Simulator, cov: float,
     provenance = {"config": config.resolved(), "cov": cov,
                   "model": sim.model.describe(),
                   "sample_seed": config.sample_seed}
-    return build_report(result.values(), columns, label=_cov_tag(cov),
+    return build_report(result.values(), columns, label=cov_tag(cov),
                         sample_hash=result.sample_hash,
                         n_failed=result.n_failed, provenance=provenance)
 
@@ -154,6 +150,8 @@ def _parse_xi(text: str | None, dim: int) -> np.ndarray:
         raise ConfigError(f"could not parse --xi value {text!r}")
     if xi.size != dim:
         raise ConfigError(f"--xi needs {dim} components, got {xi.size}")
+    if not np.isfinite(xi).all():
+        raise ConfigError(f"--xi components must be finite, got {text!r}")
     return xi
 
 
@@ -215,8 +213,8 @@ def cmd_spectrum(args) -> int:
     ops = build_operators(mesh, space, SpatialField.constant(mesh, config.nu1))
     start = time.perf_counter()
     steady = solve_steady(ops, config.solver)
-    eig = rightmost(build_problem(ops, steady.state, delta=config.delta),
-                    k=config.k, shift=config.shift, seed=config.eigen_seed)
+    eig = rightmost(build_problem(ops, steady, delta=config.delta),
+                    k=config.k, seed=config.eigen_seed)
     print(f"[spectrum] total: {time.perf_counter() - start:.2f} s, "
           f"{eig.candidates.size} Ritz values retained")
 
@@ -263,7 +261,7 @@ def cmd_assess(args) -> int:
         sim = build_simulator(config, cov, mesh=mesh, space=space, kl=kl)
         surrogates = ensure_surrogates(config, sim, cov, workers=workers)
         report = assess_one(config, sim, cov, surrogates, workers=workers)
-        tag = _cov_tag(cov)
+        tag = cov_tag(cov)
         report.to_json(config.outdir / f"report_{tag}.json")
         report.kde_csv(config.outdir / f"kde_{tag}.csv")
         reports.append(report)

@@ -33,6 +33,11 @@ _DEFAULT_CORR = {"obstacle": (0.25, 0.25), "step": (0.125, 0.25)}
 _DEFAULT_NU1 = {"obstacle": 5.36193e-3, "step": 4.5455e-3}
 
 
+def cov_tag(cov: float) -> str:
+    """Tag naming the output files of one CoV setting, e.g. ``cov10pct``."""
+    return f"cov{100.0 * cov:g}pct"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment description."""
@@ -51,7 +56,6 @@ class ExperimentConfig:
     solver: SolverSettings
     k: int
     delta: float
-    shift: float
     eigen_seed: int
     models: tuple
     stride: int
@@ -83,8 +87,7 @@ class ExperimentConfig:
                        "newton_steps": self.solver.newton_steps,
                        "rel_tol": self.solver.rel_tol,
                        "divergence_patience": self.solver.divergence_patience},
-            "eigen": {"k": self.k, "delta": self.delta, "shift": self.shift,
-                      "seed": self.eigen_seed},
+            "eigen": {"k": self.k, "delta": self.delta, "seed": self.eigen_seed},
             "surrogates": {"models": list(self.models), "stride": self.stride,
                            "nn_seed": self.nn_seed,
                            "gp_sigma_l": self.gp_sigma_l},
@@ -163,6 +166,11 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
     covs = tuple(float(c) for c in covs)
     if not covs or any(c < 0 for c in covs):
         raise ConfigError("viscosity.covs needs at least one value >= 0")
+    tags = [cov_tag(c) for c in covs]
+    clashes = [f"{c!r} -> {t}" for c, t in zip(covs, tags) if tags.count(t) > 1]
+    if clashes:
+        raise ConfigError(
+            f"viscosity.covs share output file tags: {', '.join(clashes)}")
 
     solver_raw = _section(data, "solver", {
         "picard_steps": ((int,), 6),
@@ -178,7 +186,6 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
     eigen = _section(data, "eigen", {
         "k": ((int,), 24),
         "delta": (_NUM, -1e-2),
-        "shift": (_NUM, 0.0),
         "seed": ((int,), _REQUIRED),
     })
     if eigen["seed"] is _REQUIRED:
@@ -233,7 +240,6 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
         solver=solver,
         k=eigen["k"],
         delta=float(eigen["delta"]),
-        shift=float(eigen["shift"]),
         eigen_seed=eigen["seed"],
         models=models,
         stride=sur["stride"],
@@ -298,8 +304,7 @@ def build_simulator(config: ExperimentConfig, cov: float,
     kl = build_kl(config, mesh) if kl is None else kl
     model = build_model(config, kl, cov)
     sim = Simulator(mesh, space, model, settings=config.solver,
-                    delta=config.delta, k=config.k, shift=config.shift,
-                    seed=config.eigen_seed,
+                    delta=config.delta, k=config.k, seed=config.eigen_seed,
                     label=f"{config.benchmark}-cov{cov:g}")
     if use_cache and config.cache is not None:
         sim.attach_cache(config.outdir / config.cache)

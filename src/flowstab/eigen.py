@@ -12,13 +12,12 @@ far in the left half plane.  Candidates within one percent of
 ``1/delta`` are therefore discarded before selecting the rightmost
 value.
 
-The iterative path runs shift-invert Arnoldi around a target (default 0)
-by factorizing ``J - shift M_delta`` once and handing the composed solve
-to ARPACK in ordinary largest-magnitude mode; this sidesteps the
-definiteness restrictions of the built-in generalized mode, which
-``M_delta`` (symmetric but indefinite) does not meet.  A dense QZ path
-over the same pencil serves as an independent cross-check for small
-problems.
+The iterative path factors ``J`` once, as assembled (explicit zeros and
+all), and hands ``J^{-1} M_delta`` to ARPACK in ordinary largest-magnitude
+mode, whose largest ``mu`` give the ``1/mu`` nearest the origin; this
+sidesteps the definiteness restrictions of the built-in generalized mode,
+which ``M_delta`` (symmetric but indefinite) does not meet.  A dense QZ
+path over the same pencil serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ import numpy as np
 from scipy import linalg, sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
-from .errors import EigenError, ShiftError
-from .steady import FlowState, Operators, newton_operator, picard_operator
+from .errors import EigenError
+from .steady import Operators, SteadyResult, newton_operator, saddle_matrix
 
 #: exclusion radius around 1/delta, relative to |1/delta|
 _CLUSTER_RTOL = 0.01
@@ -49,7 +48,7 @@ class EigenProblem:
     genuinely nonsingular and nothing is excluded.
     """
 
-    lhs: sparse.csr_matrix
+    lhs: sparse.spmatrix
     rhs: sparse.csr_matrix
     delta: float | None = None
 
@@ -63,31 +62,30 @@ class EigenResult:
     eigenvalue: complex
     eigenvector: np.ndarray = field(repr=False)
     candidates: np.ndarray = field(repr=False)   # retained finite Ritz values
-    excluded: np.ndarray = field(repr=False)     # dropped shift-cluster values
+    excluded: np.ndarray = field(repr=False)     # dropped 1/delta-cluster values
     residual: float = 0.0                        # ||J v - lambda M v|| / ||v||
-    shift: complex = 0.0
     k: int = 0
     method: str = "arnoldi"
 
 
-def build_problem(ops: Operators, state: FlowState,
+def build_problem(ops: Operators, steady: SteadyResult,
                   delta: float = -1e-2) -> EigenProblem:
-    """Assemble the pencil at a steady state, interior DOFs only."""
+    """Assemble the pencil at a converged steady state, interior DOFs only;
+    the Jacobian builds on the solve's Picard operator at that state."""
     if delta == 0.0:
         raise EigenError("delta must be nonzero; the plain mass pencil is singular")
-    iu, u = ops.space.interior, state.velocity
-    jacobian = newton_operator(ops, u, picard_operator(ops, u))
-    j_ii = jacobian[iu][:, iu]
+    iu = ops.space.interior
+    jacobian = newton_operator(ops, steady.state.velocity, steady.picard)
+    lhs = saddle_matrix(ops, jacobian)
     div_i = ops.divergence[:, iu]
     mass_ii = ops.mass[iu][:, iu]
-    lhs = sparse.bmat([[j_ii, div_i.T], [div_i, None]], format="csr")
     rhs = sparse.bmat([[-mass_ii, delta * div_i.T],
                        [delta * div_i, None]], format="csr")
     return EigenProblem(lhs, rhs, delta)
 
 
 def _select(problem: EigenProblem, values: np.ndarray, vecs: np.ndarray,
-            shift: complex, k: int, method: str, empty: str) -> EigenResult:
+            k: int, method: str, empty: str) -> EigenResult:
     """The rightmost of `values` outside the ``1/delta`` cluster; raises
     :class:`EigenError` with message `empty` when nothing is left."""
     drop = np.zeros(values.shape, dtype=bool)
@@ -102,8 +100,7 @@ def _select(problem: EigenProblem, values: np.ndarray, vecs: np.ndarray,
     residual = (np.linalg.norm(problem.lhs @ vec - value * (problem.rhs @ vec))
                 / np.linalg.norm(vec))
     return EigenResult(complex(value), vec, np.sort_complex(values[keep]),
-                       np.sort_complex(values[drop]), float(residual),
-                       shift, k, method)
+                       np.sort_complex(values[drop]), float(residual), k, method)
 
 
 def dense_rightmost(problem: EigenProblem) -> EigenResult:
@@ -113,43 +110,43 @@ def dense_rightmost(problem: EigenProblem) -> EigenResult:
         raise EigenError(f"dense path limited to n <= 400, got {n}")
     values, vecs = linalg.eig(problem.lhs.toarray(), problem.rhs.toarray())
     finite = np.isfinite(values)
-    return _select(problem, values[finite], vecs[:, finite], 0.0, n, "dense",
-                   "no finite eigenvalues outside the shift cluster")
+    return _select(problem, values[finite], vecs[:, finite], n, "dense",
+                   "no finite eigenvalues outside the 1/delta cluster")
 
 
-def rightmost(problem: EigenProblem, k: int = 24, shift: float = 0.0,
-              seed: int = 0, tol: float = 0.0) -> EigenResult:
-    """Rightmost finite eigenvalue via shift-invert Arnoldi.
+def rightmost(problem: EigenProblem, k: int = 24, seed: int = 0) -> EigenResult:
+    """Rightmost finite eigenvalue via shift-invert Arnoldi at the origin.
 
-    `k` Ritz values around `shift` are computed; if the selected value
-    sits at the outer edge of that window the computation is repeated once
-    with ``2k`` to make sure nothing further right was missed.  Problems
-    with fewer than a handful of DOFs fall back to the dense path.
+    The `k` Ritz values nearest the origin are computed; if the selected
+    value sits at the outer edge of that window the computation is
+    repeated once with ``2k`` to make sure nothing further right was
+    missed.  Problems with fewer than a handful of DOFs fall back to the
+    dense path.
     """
     n = problem.dim
     if n < _DENSE_FALLBACK:
         return dense_rightmost(problem)
     k_eff = min(k, n - 2)
     try:
-        lu = splu((problem.lhs - shift * problem.rhs).tocsc())
+        lu = splu(problem.lhs.tocsc())
     except RuntimeError as exc:
-        raise ShiftError(f"factorization at shift {shift} failed: {exc}") from exc
+        raise EigenError(f"factorization of the Jacobian failed: {exc}") from exc
     op = LinearOperator((n, n), matvec=lambda x: lu.solve(problem.rhs @ x))
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        mu, vecs = eigs(op, k=k_eff, which="LM", v0=v0, tol=tol)
+        mu, vecs = eigs(op, k=k_eff, which="LM", v0=v0)
     except ArpackNoConvergence as exc:
         mu, vecs = exc.eigenvalues, exc.eigenvectors
         if mu.size == 0:
             raise EigenError("Arnoldi iteration returned no converged values") from exc
-    values = shift + 1.0 / mu
-    result = _select(problem, values, vecs, shift, k_eff, "arnoldi",
-                     "all converged Ritz values sit in the shift cluster; "
-                     "increase k or move the shift")
+    values = 1.0 / mu
+    result = _select(problem, values, vecs, k_eff, "arnoldi",
+                     "all converged Ritz values sit in the 1/delta cluster; "
+                     "increase k")
     # window-edge guard: smallest |mu| are the least converged directions
-    edge = np.abs(shift - result.eigenvalue) >= 0.9 * np.abs(shift - values).max()
+    edge = np.abs(result.eigenvalue) >= 0.9 * np.abs(values).max()
     if edge and k_eff < n - 2:
-        return rightmost(problem, min(2 * k, n - 2), shift, seed, tol)
+        return rightmost(problem, k=min(2 * k, n - 2), seed=seed)
     return result
 
 

@@ -45,10 +45,6 @@ class EigenError(FlowstabError):
     """Base class for eigensolver failures."""
 
 
-class ShiftError(EigenError):
-    """Factorization of the shifted pencil failed; retry with another shift."""
-
-
 class PositivityError(FlowstabError):
     """A viscosity realization was not strictly positive at every
     quadrature point."""

@@ -215,7 +215,6 @@ class Simulator:
     settings: SolverSettings = field(default_factory=SolverSettings)
     delta: float = -1e-2
     k: int = 24
-    shift: float = 0.0
     seed: int = 0
     label: str = ""
     cache: Optional[EvalCache] = field(default=None, init=False)
@@ -244,8 +243,7 @@ class Simulator:
                 "rel_tol": self.settings.rel_tol,
                 "divergence_patience": self.settings.divergence_patience,
             },
-            "eigen": {"delta": self.delta, "k": self.k,
-                      "shift": self.shift, "seed": self.seed},
+            "eigen": {"delta": self.delta, "k": self.k, "seed": self.seed},
         }
 
     @property
@@ -263,8 +261,8 @@ class Simulator:
         """
         ops = build_operators(self.mesh, self.space, viscosity)
         steady = solve_steady(ops, self.settings)
-        problem = build_problem(ops, steady.state, delta=self.delta)
-        return steady, rightmost(problem, k=self.k, shift=self.shift, seed=self.seed)
+        problem = build_problem(ops, steady, delta=self.delta)
+        return steady, rightmost(problem, k=self.k, seed=self.seed)
 
     def compute(self, xi) -> SampleRecord:
         """Run the full chain for one sample; failures become records."""

@@ -61,7 +61,6 @@ class Operators:
     divergence: sparse.csr_matrix
     mass: sparse.csr_matrix
     forcing_u: np.ndarray
-    forcing_p: np.ndarray
 
 
 @dataclass
@@ -69,19 +68,20 @@ class SteadyResult:
     state: FlowState
     residual: float
     reference: float
-    trace: list = field(default_factory=list)
+    trace: list
+    #: :func:`picard_operator` at the converged velocity
+    picard: sparse.csr_matrix = field(repr=False)
 
 
-def build_operators(mesh: Mesh, space: MixedSpace, viscosity: SpatialField,
-                    body_force=None) -> Operators:
+def build_operators(mesh: Mesh, space: MixedSpace,
+                    viscosity: SpatialField) -> Operators:
     """Assemble everything that does not depend on the flow state."""
-    f, g = assemble_forcing(mesh, space, body_force)
     return Operators(
         mesh, space,
         assemble_diffusion(mesh, space, viscosity),
         assemble_divergence(mesh, space),
         assemble_velocity_mass(mesh, space),
-        f, g,
+        assemble_forcing(mesh, space),
     )
 
 
@@ -92,7 +92,9 @@ def _factor(matrix: sparse.spmatrix):
         raise RankDeficiencyError(f"saddle-point factorization failed: {exc}") from exc
 
 
-def _saddle(ops: Operators, momentum: sparse.spmatrix) -> sparse.csc_matrix:
+def saddle_matrix(ops: Operators, momentum: sparse.spmatrix) -> sparse.csc_matrix:
+    """``[[A_ii, B_i^T], [B_i, 0]]`` on the interior velocity DOFs and all
+    pressure DOFs, `momentum` being ``A``; explicit zeros are kept."""
     iu = ops.space.interior
     mom_ii = momentum[iu][:, iu]
     div_i = ops.divergence[:, iu]
@@ -104,7 +106,9 @@ def lifted_stokes_rhs(ops: Operators) -> np.ndarray:
     iu, dr = ops.space.interior, ops.space.dirichlet
     u_d = ops.space.dirichlet_values
     rhs_u = ops.forcing_u[iu] - ops.diffusion[iu][:, dr] @ u_d
-    rhs_p = ops.forcing_p - ops.divergence[:, dr] @ u_d
+    # 0.0 - x, not -x: the continuity rows hold no forcing, and exact zeros
+    # stay +0.0 rather than turning into -0.0
+    rhs_p = 0.0 - ops.divergence[:, dr] @ u_d
     return np.concatenate([rhs_u, rhs_p])
 
 
@@ -112,7 +116,7 @@ def solve_stokes(ops: Operators, rhs: np.ndarray) -> FlowState:
     """Stokes flow for the lifted right-hand side `rhs`; the nonlinear
     initial iterate."""
     iu = ops.space.interior
-    sol = _factor(_saddle(ops, ops.diffusion)).solve(rhs)
+    sol = _factor(saddle_matrix(ops, ops.diffusion)).solve(rhs)
     velocity = np.zeros(ops.space.n_u)
     velocity[ops.space.dirichlet] = ops.space.dirichlet_values
     velocity[iu] = sol[:iu.size]
@@ -139,7 +143,7 @@ def residual(ops: Operators, state: FlowState,
     iu = ops.space.interior
     momentum = (ops.forcing_u - picard @ state.velocity
                 - ops.divergence.T @ state.pressure)
-    continuity = ops.forcing_p - ops.divergence @ state.velocity
+    continuity = 0.0 - ops.divergence @ state.velocity   # +0.0, see above
     return np.concatenate([momentum[iu], continuity])
 
 
@@ -148,7 +152,7 @@ def nonlinear_step(ops: Operators, state: FlowState,
     """One correction from `state`: the saddle system with momentum block
     `momentum` solved for `res`, the residual at `state`."""
     iu = ops.space.interior
-    delta = _factor(_saddle(ops, momentum)).solve(res)
+    delta = _factor(saddle_matrix(ops, momentum)).solve(res)
     velocity = state.velocity.copy()
     velocity[iu] += delta[:iu.size]
     return FlowState(velocity, state.pressure + delta[iu.size:])
@@ -193,4 +197,4 @@ def solve_steady(ops: Operators, settings: SolverSettings | None = None) -> Stea
         raise ConvergenceError(
             f"residual {res_norm:.3e} above target {target:.3e} "
             f"after {len(trace) - 1} steps", trace)
-    return SteadyResult(state, res_norm, reference, trace)
+    return SteadyResult(state, res_norm, reference, trace, picard)

@@ -65,7 +65,7 @@ class ViscosityModel:
         psi = self.basis.evaluate(np.asarray(xi, dtype=float))[0]
         field = SpatialField(np.tensordot(psi, self.coeffs, axes=1))
         low = field.min()
-        if low <= 0.0:
+        if not low > 0.0:
             raise PositivityError(
                 f"viscosity realization reaches {low:.3e} at a quadrature point")
         return field

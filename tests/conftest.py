@@ -50,8 +50,7 @@ def channel_flow_pencil(nx, ny, pressure, nu, delta=-1e-2):
     mesh = channel_mesh(nx=nx, ny=ny, length=float(nx) / 2.0)
     space = build_space(mesh, pressure)
     ops = build_operators(mesh, space, SpatialField.constant(mesh, nu))
-    state = solve_steady(ops).state
-    return build_problem(ops, state, delta)
+    return build_problem(ops, solve_steady(ops), delta)
 
 
 def _workers() -> int:
@@ -110,7 +109,7 @@ def _reference_run(mesh_builder, pressure, nu1, settings, k):
     ops = build_operators(mesh, space, SpatialField.constant(mesh, nu1))
     start = time.perf_counter()
     steady = solve_steady(ops, settings)
-    eig = rightmost(build_problem(ops, steady.state), k=k)
+    eig = rightmost(build_problem(ops, steady), k=k)
     seconds = time.perf_counter() - start
     return SimpleNamespace(space=space, result=eig, seconds=seconds)
 

@@ -81,6 +81,7 @@ def test_solve_at_explicit_sample(config_path, workdir):
 def test_solve_bad_xi_is_config_error(config_path):
     assert main(["solve", "--config", str(config_path), "--xi", "1,2,3"]) == 2
     assert main(["solve", "--config", str(config_path), "--xi", "a,b"]) == 2
+    assert main(["solve", "--config", str(config_path), "--xi", "nan,0"]) == 2
 
 
 def test_spectrum_outputs(workdir, capsys):

@@ -98,6 +98,9 @@ def test_type_and_value_errors():
         config_from_dict(minimal(mesh={"refine": "fine"}))
     with pytest.raises(ConfigError, match=">= 0"):
         config_from_dict(minimal(viscosity={"covs": [-0.1], "m": 2}))
+    # CoVs whose output files would overwrite each other
+    with pytest.raises(ConfigError, match=r"0\.1 -> cov10pct, 0\.1000001 -> cov10pct"):
+        config_from_dict(minimal(viscosity={"covs": [0.1, 0.1000001, 0.1], "m": 2}))
     with pytest.raises(ConfigError, match="stride"):
         config_from_dict(minimal(
             surrogates={"nn_seed": 0, "stride": 0}))
@@ -181,8 +184,17 @@ def test_simulator_cache_wiring(tmp_path):
     assert build_simulator(nocache, 0.01).cache is None
 
 
-def test_workers_is_not_a_config_key():
-    # the worker count is a command-line setting (--workers) only
-    with pytest.raises(ConfigError, match="unknown top-level keys: workers"):
-        config_from_dict(minimal(workers=2))
-    assert "workers" not in config_from_dict(minimal()).resolved()
+@pytest.mark.parametrize("path", [("workers",), ("eigen", "shift")],
+                         ids=["workers", "eigen.shift"])
+def test_workers_is_not_a_config_key(path):
+    # the worker count is a command-line setting (--workers) only, and the
+    # eigensolve always inverts at the origin, so it has no target to set
+    *sections, key = path
+    data, resolved = minimal(), config_from_dict(minimal()).resolved()
+    target = data
+    for name in sections:
+        target, resolved = target[name], resolved[name]
+    target[key] = 0
+    with pytest.raises(ConfigError, match=f"unknown .*: {key}$"):
+        config_from_dict(data)
+    assert key not in resolved

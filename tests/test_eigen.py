@@ -7,7 +7,7 @@ from scipy import linalg, sparse
 from conftest import channel_flow_pencil, planted_pencil
 from flowstab.eigen import (EigenProblem, build_problem, dense_rightmost,
                             rightmost, ritz_to_csv)
-from flowstab.errors import EigenError, ShiftError
+from flowstab.errors import EigenError
 
 
 def test_tiny_diagonal_pencil_uses_dense_path():
@@ -127,16 +127,38 @@ def test_zero_delta_rejected():
     mesh = channel_mesh(nx=3, ny=3, length=1.5)
     space = build_space(mesh, "q1")
     ops = build_operators(mesh, space, SpatialField.constant(mesh, 0.05))
-    state = solve_steady(ops).state
+    steady = solve_steady(ops)
     with pytest.raises(EigenError):
-        build_problem(ops, state, delta=0.0)
+        build_problem(ops, steady, delta=0.0)
 
 
-def test_singular_shift_raises():
+def test_singular_jacobian_raises():
     J = sparse.csr_matrix((40, 40))
     M = sparse.eye(40, format="csr")
-    with pytest.raises(ShiftError):
-        rightmost(EigenProblem(J, M), k=4, shift=0.0)
+    with pytest.raises(EigenError, match="factorization"):
+        rightmost(EigenProblem(J, M), k=4)
+
+
+def test_factors_the_assembled_jacobian(monkeypatch):
+    # the LU is taken of lhs as assembled: its explicit structural zeros
+    # stay in the pattern the fill-reducing ordering sees
+    import flowstab.eigen as eigen
+    from flowstab.assembly import SpatialField
+    from flowstab.meshes import build_space, obstacle_mesh
+    from flowstab.steady import build_operators, solve_steady
+
+    mesh = obstacle_mesh(refine=1)
+    space = build_space(mesh, "q1")
+    ops = build_operators(mesh, space, SpatialField.constant(mesh, 5.36193e-3))
+    problem = build_problem(ops, solve_steady(ops))
+    assert np.count_nonzero(problem.lhs.data) < problem.lhs.nnz
+    factored = []
+    original = eigen.splu
+    monkeypatch.setattr(eigen, "splu",
+                        lambda matrix: factored.append(matrix) or original(matrix))
+    rightmost(problem, k=24)
+    assert len(factored) == 1
+    assert factored[0].nnz == problem.lhs.nnz
 
 
 def test_dense_size_limit():

@@ -83,7 +83,7 @@ def test_run_at_zero_matches_deterministic(toy):
 
     ops = build_operators(mesh, space, SpatialField.constant(mesh, NU1))
     steady = solve_steady(ops)
-    eig = rightmost(build_problem(ops, steady.state))
+    eig = rightmost(build_problem(ops, steady))
     assert record.lam_re == pytest.approx(eig.eigenvalue.real, rel=1e-12, abs=1e-14)
     assert record.lam_im == pytest.approx(eig.eigenvalue.imag, rel=1e-12, abs=1e-14)
     # short straight channel at this viscosity is comfortably stable

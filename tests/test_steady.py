@@ -1,6 +1,8 @@
 """Steady solver checks: analytic channel flow, contraction behaviour,
 failure modes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from flowstab.steady import (FlowState, SolverSettings, build_operators,
                              solve_stokes)
 
 NU = 0.1
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def poiseuille_setup(pressure="q1", nx=6, ny=4, length=3.0):
@@ -63,7 +67,7 @@ def test_residual_matches_manual_assembly():
     full = ops.forcing_u - (ops.diffusion + conv) @ state.velocity \
         - ops.divergence.T @ state.pressure
     want = np.concatenate([full[space.interior],
-                           ops.forcing_p - ops.divergence @ state.velocity])
+                           -(ops.divergence @ state.velocity)])
     np.testing.assert_allclose(res, want, atol=1e-13)
 
 
@@ -98,8 +102,10 @@ def test_obstacle_hybrid_convergence(obstacle_result):
 
 def test_one_convection_assembly_per_iterate(monkeypatch):
     # each iterate's convection matrix serves its residual and the
-    # correction that follows it, so it is assembled exactly once
+    # correction that follows it, and the converged one also the
+    # eigenvalue pencil, so it is assembled exactly once
     import flowstab.steady as steady
+    from flowstab.config import build_simulator, load_config
 
     mesh = obstacle_mesh(refine=1)
     space = build_space(mesh, "q1")
@@ -110,6 +116,12 @@ def test_one_convection_assembly_per_iterate(monkeypatch):
                         lambda *args: calls.append(1) or original(*args))
     result = solve_steady(ops)
     assert len(result.trace) > 2
+    assert len(calls) == len(result.trace)
+
+    sim = build_simulator(load_config(CONFIG_DIR / "obstacle_desk.yaml"), 0.1,
+                          use_cache=False)
+    calls.clear()
+    result, _ = sim.solve(sim.model.evaluate(np.array([0.3, -0.5])))
     assert len(calls) == len(result.trace)
 
 

@@ -163,6 +163,9 @@ def test_positivity_guard(kl):
     worst = flat[np.argmax(np.abs(flat))]
     with pytest.raises(PositivityError):
         model.evaluate(np.array([-math.copysign(1.0, worst), 0.0]))
+    # a NaN germ gives a NaN field, which is not positive either
+    with pytest.raises(PositivityError):
+        model.evaluate(np.array([np.nan, 0.0]))
 
 
 def test_mode_budget_guard(kl):
