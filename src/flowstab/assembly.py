@@ -125,8 +125,7 @@ def _velocity_at_quadrature(mesh: Mesh, velocity: np.ndarray):
     return qd, ux @ qd.phi, uy @ qd.phi       # values at points
 
 
-def assemble_diffusion(mesh: Mesh, space: MixedSpace,
-                       viscosity: SpatialField) -> sparse.csr_matrix:
+def assemble_diffusion(mesh: Mesh, viscosity: SpatialField) -> sparse.csr_matrix:
     """Viscosity-weighted vector Laplacian, ``integral( nu grad u : grad v )``."""
     qd = quad_data(mesh)
     nu = viscosity.values
@@ -142,7 +141,7 @@ def assemble_diffusion(mesh: Mesh, space: MixedSpace,
     return sparse.block_diag([scalar, scalar], format="csr")
 
 
-def assemble_velocity_mass(mesh: Mesh, space: MixedSpace) -> sparse.csr_matrix:
+def assemble_velocity_mass(mesh: Mesh) -> sparse.csr_matrix:
     """Vector mass matrix of the velocity space."""
     qd = quad_data(mesh)
     local = np.einsum("eq,aq,bq->eab", qd.qw, qd.phi, qd.phi)
@@ -151,8 +150,7 @@ def assemble_velocity_mass(mesh: Mesh, space: MixedSpace) -> sparse.csr_matrix:
     return sparse.block_diag([scalar, scalar], format="csr")
 
 
-def assemble_convection(mesh: Mesh, space: MixedSpace,
-                        wind: np.ndarray) -> sparse.csr_matrix:
+def assemble_convection(mesh: Mesh, wind: np.ndarray) -> sparse.csr_matrix:
     """Convection by a given discrete velocity, ``integral( (w . grad u) . v )``.
 
     `wind` is a full velocity vector; it is interpolated through the
@@ -167,8 +165,7 @@ def assemble_convection(mesh: Mesh, space: MixedSpace,
     return sparse.block_diag([scalar, scalar], format="csr")
 
 
-def assemble_newton_derivative(mesh: Mesh, space: MixedSpace,
-                               wind: np.ndarray) -> sparse.csr_matrix:
+def assemble_newton_derivative(mesh: Mesh, wind: np.ndarray) -> sparse.csr_matrix:
     """Reaction-type coupling ``integral( (u . grad w) . v )`` at the state `wind`.
 
     Produces the full 2x2 block structure with the four velocity-gradient

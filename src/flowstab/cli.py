@@ -64,22 +64,17 @@ def train_surrogates(config: ExperimentConfig, sim: Simulator, cov: float,
             f"{result.n_failed} design-node solves failed "
             f"(nodes {bad}); surrogates need the full grid")
 
-    targets_re = result.lam_re
-    targets = targets_re + 1j * result.lam_im
-    if np.all(result.lam_im == 0.0):
-        targets = targets_re
-
     surrogates: dict[str, object] = {}
     provenance = surrogate_provenance(config, sim, cov, samples.n)
     for name in config.models:
         start = time.perf_counter()
         if name == "sc":
-            fitted = sc_train(grid, targets, config.p)
+            fitted = sc_train(grid, result.lam_re, config.p)
         else:
-            design = TrainingSet.from_samples(samples.xi, targets_re)
+            design = TrainingSet.from_samples(samples.xi, result.lam_re)
             design = design.subsample(config.stride)
             if name == "gp":
-                fitted = gp_train(design, sigma_l=config.gp_sigma_l)
+                fitted = gp_train(design)
             else:
                 fitted = nn_train(design, seed=config.nn_seed)
         elapsed = time.perf_counter() - start
@@ -213,8 +208,8 @@ def cmd_spectrum(args) -> int:
     ops = build_operators(mesh, space, SpatialField.constant(mesh, config.nu1))
     start = time.perf_counter()
     steady = solve_steady(ops, config.solver)
-    eig = rightmost(build_problem(ops, steady, delta=config.delta),
-                    k=config.k, seed=config.eigen_seed)
+    eig = rightmost(build_problem(ops, steady), k=config.k,
+                    seed=config.eigen_seed)
     print(f"[spectrum] total: {time.perf_counter() - start:.2f} s, "
           f"{eig.candidates.size} Ritz values retained")
 

@@ -9,6 +9,7 @@ filled in) is what gets embedded into output files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ SURROGATE_NAMES = ("sc", "gp", "nn")
 BENCHMARK_FAMILY = {"obstacle": "hermite", "step": "legendre"}
 
 #: correlation lengths as fractions of domain width / height
-_DEFAULT_CORR = {"obstacle": (0.25, 0.25), "step": (0.125, 0.25)}
+_CORR = {"obstacle": (0.25, 0.25), "step": (0.125, 0.25)}
 
 _DEFAULT_NU1 = {"obstacle": 5.36193e-3, "step": 4.5455e-3}
 
@@ -51,16 +52,12 @@ class ExperimentConfig:
     m: int
     p: int
     level: int
-    lx_frac: float
-    ly_frac: float
     solver: SolverSettings
     k: int
-    delta: float
     eigen_seed: int
     models: tuple
     stride: int
     nn_seed: int
-    gp_sigma_l: float | None
     n_mc: int
     sample_seed: int
     outdir: Path
@@ -81,16 +78,12 @@ class ExperimentConfig:
             "mesh": {"refine": self.refine, "length": self.length,
                      "stretch": self.stretch},
             "viscosity": {"nu1": self.nu1, "covs": list(self.covs),
-                          "m": self.m, "p": self.p, "level": self.level,
-                          "lx_frac": self.lx_frac, "ly_frac": self.ly_frac},
+                          "m": self.m, "p": self.p, "level": self.level},
             "solver": {"picard_steps": self.solver.picard_steps,
-                       "newton_steps": self.solver.newton_steps,
-                       "rel_tol": self.solver.rel_tol,
-                       "divergence_patience": self.solver.divergence_patience},
-            "eigen": {"k": self.k, "delta": self.delta, "seed": self.eigen_seed},
+                       "newton_steps": self.solver.newton_steps},
+            "eigen": {"k": self.k, "seed": self.eigen_seed},
             "surrogates": {"models": list(self.models), "stride": self.stride,
-                           "nn_seed": self.nn_seed,
-                           "gp_sigma_l": self.gp_sigma_l},
+                           "nn_seed": self.nn_seed},
             "assess": {"n_mc": self.n_mc, "sample_seed": self.sample_seed},
         }
 
@@ -125,6 +118,19 @@ _REQUIRED = object()
 _NUM = (int, float)
 
 
+def _finite(value) -> bool:
+    """Whether a config value is a finite number (booleans are not)."""
+    return (isinstance(value, _NUM) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _at_least(name: str, section: dict, bounds: dict) -> None:
+    """Reject integer settings of section `name` below their lower bound."""
+    for key, low in bounds.items():
+        if section[key] < low:
+            raise ConfigError(f"{name}.{key} must be >= {low}")
+
+
 def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
@@ -147,22 +153,25 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
     if benchmark == "step" and mesh["stretch"] != 1.0:
         raise ConfigError("mesh.stretch only applies to the obstacle benchmark")
 
-    corr = _DEFAULT_CORR[benchmark]
     visc = _section(data, "viscosity", {
         "nu1": (_NUM, _DEFAULT_NU1[benchmark]),
         "covs": ((list, tuple, int, float), _REQUIRED),
         "m": ((int,), _REQUIRED),
         "p": ((int,), 3),
         "level": ((int,), 4),
-        "lx_frac": (_NUM, corr[0]),
-        "ly_frac": (_NUM, corr[1]),
     })
     for key in ("covs", "m"):
         if visc[key] is _REQUIRED:
             raise ConfigError(f"viscosity.{key} is required")
+    _at_least("viscosity", visc, {"m": 1, "p": 0, "level": 1})
+    if not (_finite(visc["nu1"]) and visc["nu1"] > 0):
+        raise ConfigError(
+            f"viscosity.nu1 must be a finite number > 0, got {visc['nu1']!r}")
     covs = visc["covs"]
     if isinstance(covs, _NUM):
         covs = [covs]
+    if not all(_finite(c) for c in covs):
+        raise ConfigError(f"viscosity.covs must be finite numbers, got {covs!r}")
     covs = tuple(float(c) for c in covs)
     if not covs or any(c < 0 for c in covs):
         raise ConfigError("viscosity.covs needs at least one value >= 0")
@@ -175,29 +184,27 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
     solver_raw = _section(data, "solver", {
         "picard_steps": ((int,), 6),
         "newton_steps": ((int,), 15),
-        "rel_tol": (_NUM, 1e-8),
-        "divergence_patience": ((int,), 5),
     })
+    _at_least("solver", solver_raw, {"picard_steps": 0, "newton_steps": 0})
     solver = SolverSettings(solver_raw["picard_steps"],
-                            solver_raw["newton_steps"],
-                            float(solver_raw["rel_tol"]),
-                            solver_raw["divergence_patience"])
+                            solver_raw["newton_steps"])
 
     eigen = _section(data, "eigen", {
         "k": ((int,), 24),
-        "delta": (_NUM, -1e-2),
         "seed": ((int,), _REQUIRED),
     })
     if eigen["seed"] is _REQUIRED:
         raise ConfigError("eigen.seed is required (all seeds are explicit)")
+    _at_least("eigen", eigen, {"k": 1})
 
     sur = _section(data, "surrogates", {
         "models": ((list, tuple), list(SURROGATE_NAMES)),
         "stride": ((int,), 1),
         "nn_seed": ((int,), _REQUIRED),
-        "gp_sigma_l": (_NUM, None),
     })
     models = tuple(sur["models"])
+    if not all(isinstance(name, str) for name in models):
+        raise ConfigError(f"surrogates.models must list names, got {models!r}")
     bad = set(models) - set(SURROGATE_NAMES)
     if bad:
         raise ConfigError(f"unknown surrogate models: {', '.join(sorted(bad))}")
@@ -205,8 +212,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
         if "nn" in models:
             raise ConfigError("surrogates.nn_seed is required")
         sur["nn_seed"] = 0
-    if sur["stride"] < 1:
-        raise ConfigError("surrogates.stride must be >= 1")
+    _at_least("surrogates", sur, {"stride": 1})
 
     assess = _section(data, "assess", {
         "n_mc": ((int,), _REQUIRED),
@@ -215,8 +221,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
     for key in ("n_mc", "sample_seed"):
         if assess[key] is _REQUIRED:
             raise ConfigError(f"assess.{key} is required")
-    if assess["n_mc"] < 1:
-        raise ConfigError("assess.n_mc must be >= 1")
+    _at_least("assess", assess, {"n_mc": 1})
 
     paths = _section(data, "paths", {
         "outdir": ((str,), "out"),
@@ -235,16 +240,12 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
         m=visc["m"],
         p=visc["p"],
         level=visc["level"],
-        lx_frac=float(visc["lx_frac"]),
-        ly_frac=float(visc["ly_frac"]),
         solver=solver,
         k=eigen["k"],
-        delta=float(eigen["delta"]),
         eigen_seed=eigen["seed"],
         models=models,
         stride=sur["stride"],
         nn_seed=sur["nn_seed"],
-        gp_sigma_l=None if sur["gp_sigma_l"] is None else float(sur["gp_sigma_l"]),
         n_mc=assess["n_mc"],
         sample_seed=assess["sample_seed"],
         outdir=outdir,
@@ -277,8 +278,9 @@ def build_space_for(config: ExperimentConfig, mesh: Mesh) -> MixedSpace:
 
 def build_kl(config: ExperimentConfig, mesh: Mesh) -> KlExpansion:
     xs, ys = mesh.xs, mesh.ys
-    lx = config.lx_frac * float(xs[-1] - xs[0])
-    ly = config.ly_frac * float(ys[-1] - ys[0])
+    fx, fy = _CORR[config.benchmark]
+    lx = fx * float(xs[-1] - xs[0])
+    ly = fy * float(ys[-1] - ys[0])
     return kl_decompose(mesh, config.m, 1.0, lx, ly)
 
 
@@ -304,7 +306,7 @@ def build_simulator(config: ExperimentConfig, cov: float,
     kl = build_kl(config, mesh) if kl is None else kl
     model = build_model(config, kl, cov)
     sim = Simulator(mesh, space, model, settings=config.solver,
-                    delta=config.delta, k=config.k, seed=config.eigen_seed,
+                    k=config.k, seed=config.eigen_seed,
                     label=f"{config.benchmark}-cov{cov:g}")
     if use_cache and config.cache is not None:
         sim.attach_cache(config.outdir / config.cache)

@@ -196,6 +196,16 @@ def read_cache(path) -> tuple[list, int]:
     return records, complete
 
 
+def _arrays_digest(*arrays) -> str:
+    """sha256 over the dtype, shape and bytes of each array in turn."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 def _sample_key(xi: np.ndarray, fingerprint: str) -> str:
     payload = np.ascontiguousarray(xi, dtype=np.float64).tobytes()
     return hashlib.sha256(payload + fingerprint.encode()).hexdigest()
@@ -213,16 +223,10 @@ class Simulator:
     space: MixedSpace
     model: ViscosityModel
     settings: SolverSettings = field(default_factory=SolverSettings)
-    delta: float = -1e-2
     k: int = 24
     seed: int = 0
     label: str = ""
     cache: Optional[EvalCache] = field(default=None, init=False)
-
-    def __post_init__(self):
-        # a setup error, not a per-sample failure: abort before any sample
-        if self.delta == 0.0:
-            raise EigenError("delta must be nonzero; the plain mass pencil is singular")
 
     def describe(self) -> dict:
         xs, ys = self.mesh.xs, self.mesh.ys
@@ -237,13 +241,14 @@ class Simulator:
                 "n_p": int(self.space.n_p),
             },
             "viscosity": self.model.describe(),
+            # the counts above do not tell graded meshes or fields apart
+            "sha256": _arrays_digest(xs, ys, self.mesh.cell_mask,
+                                     self.model.coeffs),
             "solver": {
                 "picard_steps": self.settings.picard_steps,
                 "newton_steps": self.settings.newton_steps,
-                "rel_tol": self.settings.rel_tol,
-                "divergence_patience": self.settings.divergence_patience,
             },
-            "eigen": {"delta": self.delta, "k": self.k, "seed": self.seed},
+            "eigen": {"k": self.k, "seed": self.seed},
         }
 
     @property
@@ -261,7 +266,7 @@ class Simulator:
         """
         ops = build_operators(self.mesh, self.space, viscosity)
         steady = solve_steady(ops, self.settings)
-        problem = build_problem(ops, steady, delta=self.delta)
+        problem = build_problem(ops, steady)
         return steady, rightmost(problem, k=self.k, seed=self.seed)
 
     def compute(self, xi) -> SampleRecord:

@@ -32,15 +32,19 @@ from .errors import ConvergenceError, RankDeficiencyError
 from .meshes import Mesh, MixedSpace
 
 
+#: stop once the residual falls below this fraction of the Stokes reference
+_REL_TOL = 1e-8
+
+#: abort after this many consecutive residual increases in the Newton phase
+_DIVERGENCE_PATIENCE = 5
+
+
 @dataclass
 class SolverSettings:
-    """Iteration budgets and stopping control for the hybrid solve."""
+    """Iteration budgets of the hybrid solve."""
 
     picard_steps: int = 6
     newton_steps: int = 15
-    rel_tol: float = 1e-8
-    #: abort after this many consecutive residual increases in the Newton phase
-    divergence_patience: int = 5
 
 
 @dataclass
@@ -78,9 +82,9 @@ def build_operators(mesh: Mesh, space: MixedSpace,
     """Assemble everything that does not depend on the flow state."""
     return Operators(
         mesh, space,
-        assemble_diffusion(mesh, space, viscosity),
+        assemble_diffusion(mesh, viscosity),
         assemble_divergence(mesh, space),
-        assemble_velocity_mass(mesh, space),
+        assemble_velocity_mass(mesh),
         assemble_forcing(mesh, space),
     )
 
@@ -126,14 +130,14 @@ def solve_stokes(ops: Operators, rhs: np.ndarray) -> FlowState:
 def picard_operator(ops: Operators, velocity: np.ndarray) -> sparse.csr_matrix:
     """``diffusion + convection(velocity)``: the residual's momentum matrix,
     the Picard operator and the base of the Newton Jacobian."""
-    return ops.diffusion + assemble_convection(ops.mesh, ops.space, velocity)
+    return ops.diffusion + assemble_convection(ops.mesh, velocity)
 
 
 def newton_operator(ops: Operators, velocity: np.ndarray,
                     picard: sparse.csr_matrix) -> sparse.csr_matrix:
     """Newton Jacobian: the Picard operator at `velocity` plus the
     velocity-gradient coupling."""
-    return picard + assemble_newton_derivative(ops.mesh, ops.space, velocity)
+    return picard + assemble_newton_derivative(ops.mesh, velocity)
 
 
 def residual(ops: Operators, state: FlowState,
@@ -168,7 +172,7 @@ def solve_steady(ops: Operators, settings: SolverSettings | None = None) -> Stea
     settings = settings or SolverSettings()
     rhs = lifted_stokes_rhs(ops)
     reference = float(np.linalg.norm(rhs))
-    target = settings.rel_tol * reference
+    target = _REL_TOL * reference
     state, kind = solve_stokes(ops, rhs), "stokes"
     plan = iter(["picard"] * settings.picard_steps
                 + ["newton"] * settings.newton_steps)
@@ -183,7 +187,7 @@ def solve_steady(ops: Operators, settings: SolverSettings | None = None) -> Stea
             raise ConvergenceError(f"{what} produced non-finite residual", trace)
         if kind == "newton":
             growth = growth + 1 if res_norm >= trace[-2]["residual"] else 0
-            if growth >= settings.divergence_patience:
+            if growth >= _DIVERGENCE_PATIENCE:
                 raise ConvergenceError(
                     f"Newton phase diverged for {growth} consecutive steps", trace)
         kind = next(plan, None)

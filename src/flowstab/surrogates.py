@@ -115,8 +115,7 @@ class ScSurrogate:
     """Chaos expansion fitted by discrete projection on a sparse grid."""
 
     basis: GpcBasis
-    coeffs: np.ndarray                 # (n_terms,) real part
-    imag_coeffs: np.ndarray | None = None
+    coeffs: np.ndarray                 # (n_terms,)
 
     def evaluate(self, points) -> np.ndarray:
         return self.basis.evaluate(points) @ self.coeffs
@@ -132,21 +131,15 @@ class ScSurrogate:
 
 
 def sc_train(grid: SparseGrid, targets, degree: int) -> ScSurrogate:
-    """Project node samples onto the total-degree basis with grid weights.
-
-    Complex targets get an imaginary coefficient channel alongside the
-    real one; evaluation of the surrogate stays real in either case.
-    """
-    targets = np.asarray(targets).ravel()
+    """Project node samples onto the total-degree basis with grid weights."""
+    targets = np.asarray(targets, dtype=float).ravel()
     if targets.size != grid.nodes.shape[0]:
         raise ValueError(
             f"{targets.size} targets for {grid.nodes.shape[0]} grid nodes")
     basis = GpcBasis.total_degree(grid.family, grid.dim, degree)
     table = basis.evaluate(grid.nodes)          # (n_q, n_terms)
-    weighted = grid.weights[:, None] * table
-    coeffs = weighted.T @ targets.real
-    imag = weighted.T @ targets.imag if np.iscomplexobj(targets) else None
-    return ScSurrogate(basis, coeffs, imag)
+    coeffs = (grid.weights[:, None] * table).T @ targets
+    return ScSurrogate(basis, coeffs)
 
 
 # ------------------------------------------------------------------- kriging
@@ -475,8 +468,6 @@ def save_surrogate(surrogate, path, provenance: dict | None = None) -> None:
             "dim": surrogate.basis.dim,
             "degree": surrogate.basis.degree,
             "coeffs": surrogate.coeffs.tolist(),
-            "imag_coeffs": None if surrogate.imag_coeffs is None
-            else surrogate.imag_coeffs.tolist(),
         }
     elif isinstance(surrogate, GpSurrogate):
         doc["kind"] = "gp"
@@ -534,9 +525,9 @@ def _rebuild(kind: str, doc: dict):
     if kind == "sc":
         basis = GpcBasis.total_degree(params["family"], params["dim"],
                                       params["degree"])
-        imag = params["imag_coeffs"]
-        return ScSurrogate(basis, np.array(params["coeffs"]),
-                           None if imag is None else np.array(imag))
+        # files written before the imaginary channel was dropped still hold
+        # an "imag_coeffs" entry; it is ignored
+        return ScSurrogate(basis, np.array(params["coeffs"]))
     scaler = Scaler(*doc["scaler"])
     if kind == "gp":
         inputs = np.array(params["inputs"])

@@ -25,9 +25,6 @@ from .errors import FieldError, PositivityError
 from .gpc import GpcBasis
 from .randomfield import KlExpansion
 
-# relative slack when checking a user-supplied sigma_g against the CoV
-_SIGMA_RTOL = 1e-8
-
 
 @dataclass(frozen=True)
 class ViscosityModel:
@@ -109,8 +106,8 @@ def hermite_lognormal_coeffs(g0: np.ndarray, gs: np.ndarray,
     return basis, coeffs
 
 
-def build_lognormal(nu1: float, cov: float, kl: KlExpansion, m: int, p: int,
-                    sigma_g: float | None = None) -> ViscosityModel:
+def build_lognormal(nu1: float, cov: float, kl: KlExpansion, m: int,
+                    p: int) -> ViscosityModel:
     """Truncated lognormal model with mean ``nu1`` everywhere.
 
     The Gaussian exponent is ``sum_j g_j(x) xi_j`` with
@@ -118,8 +115,7 @@ def build_lognormal(nu1: float, cov: float, kl: KlExpansion, m: int, p: int,
     variance equals ``log(1 + cov^2)``; the constant part is then fixed
     pointwise by mean matching.  The chaos degree ``2p`` is twice the
     degree used for response surfaces built on top of the model, which
-    keeps products of field and response representable.  An explicit
-    ``sigma_g`` must agree with the CoV it implies.
+    keeps products of field and response representable.
     """
     if cov < 0:
         raise FieldError("CoV must be nonnegative")
@@ -129,17 +125,11 @@ def build_lognormal(nu1: float, cov: float, kl: KlExpansion, m: int, p: int,
     s2_probe = float(np.sum(lam * kl.probe_values[:m] ** 2))
     target = math.log1p(cov**2)
     scale = math.sqrt(target / s2_probe)
-    effective = scale * kl.sigma
-    if sigma_g is not None and not math.isclose(effective, sigma_g,
-                                               rel_tol=_SIGMA_RTOL):
-        implied = math.sqrt(math.expm1((sigma_g / kl.sigma) ** 2 * s2_probe))
-        raise FieldError(
-            f"sigma_g={sigma_g:.6e} implies CoV={implied:.6e}, configured {cov:.6e}")
     gs = scale * np.sqrt(lam)[:, None, None] * kl.quad_values[:m]
     g0 = math.log(nu1) - 0.5 * np.sum(gs**2, axis=0)
     basis, coeffs = hermite_lognormal_coeffs(g0, gs, 2 * p)
     return ViscosityModel("lognormal", float(nu1), float(cov), basis, coeffs,
-                          effective, kl.lx, kl.ly)
+                          scale * kl.sigma, kl.lx, kl.ly)
 
 
 def build_affine(nu1: float, cov: float, kl: KlExpansion, m: int) -> ViscosityModel:

@@ -84,8 +84,8 @@ def scalar_block(mat, nv):
 
 
 def test_mass_matches_tensor_closed_form():
-    mesh, space = single_cell()
-    G = assemble_velocity_mass(mesh, space)
+    mesh = single_cell()[0]
+    G = assemble_velocity_mass(mesh)
     want = np.kron(mass_1d(0.7), mass_1d(2.0))
     np.testing.assert_allclose(scalar_block(G, 9), want, atol=1e-14)
     # identical second diagonal block, zero coupling
@@ -94,17 +94,17 @@ def test_mass_matches_tensor_closed_form():
 
 
 def test_diffusion_constant_viscosity_closed_form():
-    mesh, space = single_cell()
-    A = assemble_diffusion(mesh, space, SpatialField.constant(mesh, 3.25))
+    mesh = single_cell()[0]
+    A = assemble_diffusion(mesh, SpatialField.constant(mesh, 3.25))
     want = 3.25 * (np.kron(stiffness_1d(0.7), mass_1d(2.0))
                    + np.kron(mass_1d(0.7), stiffness_1d(2.0)))
     np.testing.assert_allclose(scalar_block(A, 9), want, atol=1e-12)
 
 
 def test_diffusion_variable_viscosity_against_loop(oracle):
-    mesh, space = single_cell()
+    mesh = single_cell()[0]
     nu = lambda x, y: 1.0 + x + y**2
-    A = assemble_diffusion(mesh, space, SpatialField.from_callable(mesh, nu))
+    A = assemble_diffusion(mesh, SpatialField.from_callable(mesh, nu))
     want = np.empty((9, 9))
     for a in range(9):
         for b in range(9):
@@ -117,29 +117,29 @@ def test_diffusion_variable_viscosity_against_loop(oracle):
 
 
 def test_diffusion_linear_in_viscosity():
-    mesh, space = single_cell()
-    a1 = assemble_diffusion(mesh, space, SpatialField.constant(mesh, 1.0))
-    a2 = assemble_diffusion(mesh, space, SpatialField.constant(mesh, 2.0))
+    mesh = single_cell()[0]
+    a1 = assemble_diffusion(mesh, SpatialField.constant(mesh, 1.0))
+    a2 = assemble_diffusion(mesh, SpatialField.constant(mesh, 2.0))
     np.testing.assert_allclose(a2.toarray(), 2.0 * a1.toarray(), atol=1e-14)
 
 
 def test_nonpositive_viscosity_rejected():
-    mesh, space = single_cell()
+    mesh = single_cell()[0]
     field = SpatialField.from_callable(mesh, lambda x, y: x - 0.2)
     with pytest.raises(PositivityError):
-        assemble_diffusion(mesh, space, field)
+        assemble_diffusion(mesh, field)
     # NaN compares false both ways; it must not pass as positive
     field = SpatialField.from_callable(
         mesh, lambda x, y: np.where(x > 0.3, np.nan, 1.0))
     with pytest.raises(PositivityError):
-        assemble_diffusion(mesh, space, field)
+        assemble_diffusion(mesh, field)
 
 
 def test_convection_against_loop(oracle):
     mesh, space = single_cell()
     rng = np.random.default_rng(5)
     wind = rng.standard_normal(space.n_u)
-    N = assemble_convection(mesh, space, wind)
+    N = assemble_convection(mesh, wind)
 
     def wind_at(x, y):
         wx = sum(wind[a] * oracle.chi(a, x, y) for a in range(9))
@@ -167,9 +167,9 @@ def interpolate(mesh, fn):
 
 def test_newton_derivative_of_linear_field_is_signed_mass():
     # wind (x, -y) has gradient diag(1, -1), so the coupling is +/- mass
-    mesh, space = single_cell()
+    mesh = single_cell()[0]
     wind = interpolate(mesh, lambda x, y: (x, -y))
-    W = assemble_newton_derivative(mesh, space, wind)
+    W = assemble_newton_derivative(mesh, wind)
     M = np.kron(mass_1d(0.7), mass_1d(2.0))
     np.testing.assert_allclose(W[:9, :9].toarray(), M, atol=1e-13)
     np.testing.assert_allclose(W[9:, 9:].toarray(), -M, atol=1e-13)
@@ -179,17 +179,16 @@ def test_newton_derivative_of_linear_field_is_signed_mass():
 
 def test_newton_derivative_constant_wind_vanishes():
     mesh = obstacle_mesh(refine=1)
-    space = build_space(mesh, "q1")
     wind = interpolate(mesh, lambda x, y: (np.full_like(x, 2.0), np.full_like(y, -1.0)))
-    W = assemble_newton_derivative(mesh, space, wind)
+    W = assemble_newton_derivative(mesh, wind)
     assert abs(W).max() < 1e-14
 
 
 def test_newton_derivative_cross_blocks(oracle):
     # wind (y, 0): only the xy block survives and equals the mass matrix
-    mesh, space = single_cell()
+    mesh = single_cell()[0]
     wind = interpolate(mesh, lambda x, y: (y, np.zeros_like(y)))
-    W = assemble_newton_derivative(mesh, space, wind)
+    W = assemble_newton_derivative(mesh, wind)
     M = np.kron(mass_1d(0.7), mass_1d(2.0))
     np.testing.assert_allclose(W[:9, 9:].toarray(), M, atol=1e-13)
     np.testing.assert_allclose(W[:9, :9].toarray(), 0.0, atol=1e-14)
@@ -238,7 +237,7 @@ def test_divergence_of_expanding_field_is_mean_pressure():
 def test_total_mass_is_twice_area():
     mesh = obstacle_mesh(refine=1, stretch=1.25)
     space = build_space(mesh, "q1")
-    G = assemble_velocity_mass(mesh, space)
+    G = assemble_velocity_mass(mesh)
     ones = np.ones(space.n_u)
     assert ones @ (G @ ones) == pytest.approx(2.0 * 15.75, rel=1e-13)
 
@@ -253,9 +252,8 @@ def test_forcing_rows_carry_dirichlet_values():
 
 def test_assembly_independent_of_cell_order():
     mesh = obstacle_mesh(refine=1)
-    space = build_space(mesh, "q1")
     nu = SpatialField.from_callable(mesh, lambda x, y: 1.0 + 0.1 * x * y)
-    A = assemble_diffusion(mesh, space, nu)
+    A = assemble_diffusion(mesh, nu)
 
     shuffled = obstacle_mesh(refine=1)
     rng = np.random.default_rng(11)
@@ -263,9 +261,8 @@ def test_assembly_independent_of_cell_order():
     shuffled.cells = shuffled.cells[perm]
     shuffled.cell_vnodes = shuffled.cell_vnodes[perm]
     shuffled.cell_pnodes = shuffled.cell_pnodes[perm]
-    space2 = build_space(shuffled, "q1")
     nu2 = SpatialField(SpatialField.from_callable(shuffled, lambda x, y: 1.0 + 0.1 * x * y).values)
-    A2 = assemble_diffusion(shuffled, space2, nu2)
+    A2 = assemble_diffusion(shuffled, nu2)
     assert abs(A - A2).max() < 1e-13
 
 

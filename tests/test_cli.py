@@ -120,23 +120,6 @@ def test_nonconvergence_exit_3_with_trace(workdir, capsys):
     assert trace["trace"], "residual history should be recorded"
 
 
-def test_bad_delta_exit_4(workdir):
-    path = write_config(workdir / "delta0.yaml",
-                        eigen={"seed": 0, "delta": 0.0},
-                        paths={"outdir": "out_d0", "cache": None})
-    assert main(["solve", "--config", str(path)]) == 4
-
-
-def test_bad_delta_aborts_train_without_caching(workdir):
-    # delta = 0 is a setup error: the run aborts instead of recording one
-    # failed sample per design node
-    path = write_config(workdir / "delta0_train.yaml",
-                        eigen={"seed": 0, "delta": 0.0},
-                        paths={"outdir": "out_d0t", "cache": "c.jsonl"})
-    assert main(["train", "--config", str(path), "--workers", "1"]) == 4
-    assert not (workdir / "out_d0t" / "c.jsonl").exists()
-
-
 def test_train_writes_surrogates(config_path, workdir, capsys):
     assert main(["train", "--config", str(config_path),
                  "--workers", "1"]) == 0

@@ -47,15 +47,19 @@ def test_benchmark_implies_family():
 def test_benchmark_defaults():
     obstacle = config_from_dict(minimal())
     assert obstacle.nu1 == pytest.approx(5.36193e-3)
-    assert (obstacle.lx_frac, obstacle.ly_frac) == (0.25, 0.25)
     assert obstacle.length == 8.0
+    # correlation lengths: a quarter of the 8 x 2 obstacle channel
+    kl = build_kl(obstacle, build_mesh(obstacle))
+    assert (kl.lx, kl.ly) == (0.25 * 8.0, 0.25 * 2.0)
     step = config_from_dict(minimal(benchmark="step"))
     assert step.nu1 == pytest.approx(4.5455e-3)
-    assert (step.lx_frac, step.ly_frac) == (0.125, 0.25)
     assert step.length == 30.0
+    # an eighth of the 31 x 2 step channel in x, a quarter in y
+    kl = build_kl(step, build_mesh(step))
+    assert (kl.lx, kl.ly) == (0.125 * 31.0, 0.25 * 2.0)
     assert obstacle.solver.picard_steps == 6
     assert obstacle.solver.newton_steps == 15
-    assert obstacle.delta == -1e-2 and obstacle.k == 24
+    assert obstacle.k == 24
 
 
 def test_scalar_cov_promoted():
@@ -114,6 +118,36 @@ def test_type_and_value_errors():
         config_from_dict(minimal(solver=[1, 2]))
     with pytest.raises(ConfigError, match="not found"):
         load_config(CONFIG_DIR / "nonexistent.yaml")
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("section, values, match", [
+    ("viscosity", {"covs": ["a"]}, "covs must be finite"),
+    ("viscosity", {"covs": [_NAN]}, "covs must be finite"),
+    ("viscosity", {"covs": [_INF]}, "covs must be finite"),
+    ("viscosity", {"nu1": -1.0}, "nu1 must be a finite number > 0"),
+    ("viscosity", {"nu1": _NAN}, "nu1 must be a finite number > 0"),
+    ("viscosity", {"m": 0}, r"viscosity\.m must be >= 1"),
+    ("viscosity", {"p": -1}, r"viscosity\.p must be >= 0"),
+    ("viscosity", {"level": 0}, r"viscosity\.level must be >= 1"),
+    ("eigen", {"k": 0}, r"eigen\.k must be >= 1"),
+    ("eigen", {"k": -3}, r"eigen\.k must be >= 1"),
+    ("solver", {"picard_steps": -1}, r"solver\.picard_steps must be >= 0"),
+    ("solver", {"newton_steps": -1}, r"solver\.newton_steps must be >= 0"),
+    ("surrogates", {"models": [["sc"]]}, "models must list names"),
+], ids=["covs-str", "covs-nan", "covs-inf", "nu1-neg", "nu1-nan", "m-0",
+        "p-neg", "level-0", "k-0", "k-neg", "picard-neg", "newton-neg",
+        "models-nested"])
+def test_out_of_range_values_rejected(section, values, match):
+    # out-of-range values are configuration errors (exit 2): not a
+    # traceback, not a failure of every sample, and a negative step
+    # budget is not read as zero
+    data = minimal()
+    data[section] = {**data.get(section, {}), **values}
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(data)
 
 
 def test_invalid_yaml_rejected(tmp_path):
@@ -184,16 +218,24 @@ def test_simulator_cache_wiring(tmp_path):
     assert build_simulator(nocache, 0.01).cache is None
 
 
-@pytest.mark.parametrize("path", [("workers",), ("eigen", "shift")],
-                         ids=["workers", "eigen.shift"])
+_NOT_KEYS = ["workers", "eigen.shift", "viscosity.lx_frac",
+             "viscosity.ly_frac", "solver.rel_tol",
+             "solver.divergence_patience", "eigen.delta",
+             "surrogates.gp_sigma_l"]
+
+
+@pytest.mark.parametrize("path", [tuple(key.split(".")) for key in _NOT_KEYS],
+                         ids=_NOT_KEYS)
 def test_workers_is_not_a_config_key(path):
-    # the worker count is a command-line setting (--workers) only, and the
-    # eigensolve always inverts at the origin, so it has no target to set
+    # the worker count is a command-line setting (--workers) only; the
+    # eigensolve always inverts at the origin, so it has no target to set;
+    # correlation lengths, solver tolerances, the pencil regularization and
+    # the GP length scale are fixed by the study, not by a config
     *sections, key = path
     data, resolved = minimal(), config_from_dict(minimal()).resolved()
     target = data
     for name in sections:
-        target, resolved = target[name], resolved[name]
+        target, resolved = target.setdefault(name, {}), resolved[name]
     target[key] = 0
     with pytest.raises(ConfigError, match=f"unknown .*: {key}$"):
         config_from_dict(data)

@@ -13,7 +13,7 @@ from flowstab import steady
 from flowstab.assembly import SpatialField
 from flowstab.eigen import build_problem, rightmost
 from flowstab.errors import ConfigError
-from flowstab.meshes import build_space, channel_mesh
+from flowstab.meshes import build_space, channel_mesh, obstacle_mesh
 from flowstab.randomfield import kl_decompose
 from flowstab.simulate import (EvalCache, McResult, SampleRecord, SampleSet,
                                Simulator, family_distribution, monte_carlo)
@@ -161,6 +161,17 @@ def test_cache_key_separates_configurations(toy, tmp_path):
     assert a.fingerprint != b.fingerprint
     c = make_sim(toy, cov=0.2)
     assert a.fingerprint != c.fingerprint
+
+
+def test_fingerprint_identifies_the_mesh():
+    # graded and uniform obstacle meshes share every count and the bounding
+    # box; with one viscosity model only the breakpoints tell them apart
+    uniform = obstacle_mesh(refine=1, stretch=1.0)
+    graded = obstacle_mesh(refine=1, stretch=5.0)
+    model = build_affine(NU1, 0.1, kl_decompose(uniform, 2, 1.0, 2.0, 0.5), 2)
+    a = Simulator(uniform, build_space(uniform, "q1"), model)
+    b = Simulator(graded, build_space(graded, "q1"), model)
+    assert a.fingerprint != b.fingerprint
 
 
 def test_monte_carlo_single_sample(toy):
@@ -330,10 +341,3 @@ def test_eval_cache_rejects_lines_that_are_not_records(tmp_path, line, last):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=r"c\.jsonl, line 2: not a cache record"):
         EvalCache(path, "fp")
-
-
-def test_simulator_rejects_zero_delta(toy):
-    from flowstab.errors import EigenError
-
-    with pytest.raises(EigenError, match="delta must be nonzero"):
-        make_sim(toy, delta=0.0)

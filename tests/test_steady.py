@@ -63,7 +63,7 @@ def test_residual_matches_manual_assembly():
     rng = np.random.default_rng(3)
     state = FlowState(rng.standard_normal(space.n_u), rng.standard_normal(space.n_p))
     res = residual(ops, state, picard_operator(ops, state.velocity))
-    conv = assemble_convection(mesh, space, state.velocity)
+    conv = assemble_convection(mesh, state.velocity)
     full = ops.forcing_u - (ops.diffusion + conv) @ state.velocity \
         - ops.divergence.T @ state.pressure
     want = np.concatenate([full[space.interior],
@@ -167,6 +167,6 @@ def test_stokes_initial_iterate_satisfies_boundary_data():
 
 def test_settings_defaults_and_step_budget():
     s = SolverSettings()
-    assert (s.picard_steps, s.newton_steps, s.rel_tol) == (6, 15, 1e-8)
+    assert (s.picard_steps, s.newton_steps) == (6, 15)
     wide = SolverSettings(picard_steps=20, newton_steps=20)
     assert wide.picard_steps == 20 and wide.newton_steps == 20

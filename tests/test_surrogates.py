@@ -96,20 +96,6 @@ def test_sc_reproduces_cubic_polynomial(grid29):
     np.testing.assert_allclose(s.evaluate(pts), poly(pts), atol=1e-10)
 
 
-def test_sc_complex_targets_track_imaginary_channel(grid29):
-    basis = GpcBasis.total_degree("hermite", 2, 2)
-    targets = (basis.evaluate(grid29.nodes)[:, 1]
-               + 1j * basis.evaluate(grid29.nodes)[:, 3])
-    s = sc_train(grid29, targets, 2)
-    pts = np.random.default_rng(1).standard_normal((20, 2))
-    np.testing.assert_allclose(s.evaluate(pts), basis.evaluate(pts)[:, 1],
-                               atol=1e-10)
-    np.testing.assert_allclose(basis.evaluate(pts) @ s.imag_coeffs,
-                               basis.evaluate(pts)[:, 3], atol=1e-10)
-    real_only = sc_train(grid29, targets.real, 2)
-    assert real_only.imag_coeffs is None
-
-
 def test_sc_moments_match_sampling(grid29):
     rng = np.random.default_rng(9)
     basis = GpcBasis.total_degree("hermite", 2, 3)
@@ -316,6 +302,19 @@ def test_serialization_round_trips(grid29, tmp_path):
     reloaded = load_surrogate(tmp_path / "gp.json")
     np.testing.assert_allclose(reloaded.variance(pts), gp.variance(pts),
                                rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("imag", [None, [0.5] * 10], ids=["null", "list"])
+def test_sc_file_with_imaginary_channel_loads(grid29, tmp_path, imag):
+    # collocation files once carried an unused "imag_coeffs" entry
+    sc = sc_train(grid29, np.sin(grid29.nodes[:, 0]), 3)
+    path = tmp_path / "sc.json"
+    save_surrogate(sc, path)
+    doc = json.loads(path.read_text())
+    assert "imag_coeffs" not in doc["params"]
+    doc["params"]["imag_coeffs"] = imag
+    path.write_text(json.dumps(doc))
+    np.testing.assert_array_equal(load_surrogate(path).coeffs, sc.coeffs)
 
 
 def test_load_rejects_foreign_and_corrupt_files(grid29, tmp_path):

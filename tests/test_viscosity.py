@@ -125,14 +125,6 @@ def test_lognormal_matches_exact_field(kl):
     assert worst <= 1e-3
 
 
-def test_lognormal_sigma_g_consistency(kl):
-    model = build_lognormal(NU1, 0.1, kl, 2, 3)
-    rebuilt = build_lognormal(NU1, 0.1, kl, 2, 3, sigma_g=model.sigma_g)
-    np.testing.assert_allclose(rebuilt.coeffs, model.coeffs)
-    with pytest.raises(FieldError):
-        build_lognormal(NU1, 0.1, kl, 2, 3, sigma_g=0.5)
-
-
 def test_constant_exponent_is_deterministic():
     g0 = np.full((4, 9), math.log(0.004))
     gs = np.zeros((2, 4, 9))
