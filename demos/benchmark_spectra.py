@@ -2,11 +2,13 @@
 """Deterministic baselines: steady flow and leading eigenvalues for both benchmarks.
 
 Solves the steady problem at the nominal viscosity (no randomness), then
-computes the rightmost eigenvalues of the linearized operator.  At their
-reference viscosities the two flows bracket the critical point from
-opposite sides: the obstacle wake carries a complex pair with a small
-positive real part, while the expansion step keeps a real leading mode
-just below zero.
+computes the rightmost eigenvalues of the linearized operator, with the
+mesh, solver and eigensolver settings of the shipped configurations:
+``configs/*_desk.yaml`` at refinement level 1, ``configs/*_full.yaml`` at
+level 2.  At their reference viscosities the two flows bracket the
+critical point from opposite sides: the obstacle wake carries a complex
+pair with a small positive real part, while the expansion step keeps a
+real leading mode just below zero.
 
 Refinement level 1 runs in under a second per case and is fine for a
 first look.  Level 2 reproduces the reference values quoted in the
@@ -15,53 +17,34 @@ README at a few seconds per solve.
 
 import argparse
 import time
+from pathlib import Path
 
 from flowstab.assembly import SpatialField
-from flowstab.eigen import build_problem, rightmost, ritz_to_csv
-from flowstab.meshes import build_space, obstacle_mesh, step_mesh
-from flowstab.steady import SolverSettings, build_operators, solve_steady
+from flowstab.config import build_mesh, build_space_for, load_config
+from flowstab.eigen import ritz_to_csv
+from flowstab.simulate import stability
 
-CASES = {
-    "obstacle": {"nu1": 5.36193e-3, "pressure": "q1"},
-    "step": {"nu1": 4.5455e-3, "pressure": "pm1"},
-}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-
-def make_case(name, refine):
-    if name == "obstacle":
-        # Wake-graded spacing and a wider Ritz window only start to matter
-        # once the leading pair sits near the axis, i.e. from level 2 on.
-        stretch = 5.0 if refine >= 2 else 1.0
-        mesh = obstacle_mesh(refine, stretch=stretch)
-        k = 48 if refine >= 2 else 24
-        settings = SolverSettings()
-    else:
-        mesh = step_mesh(refine)
-        k = 24
-        settings = SolverSettings(picard_steps=20, newton_steps=20)
-    return mesh, k, settings
+#: refinement level -> shipped configuration suffix
+SCALE = {1: "desk", 2: "full"}
 
 
 def run_case(name, refine, csv_path=None):
-    case = CASES[name]
-    mesh, k, settings = make_case(name, refine)
-    space = build_space(mesh, pressure=case["pressure"])
+    config = load_config(CONFIGS / f"{name}_{SCALE[refine]}.yaml")
+    mesh = build_mesh(config)
+    space = build_space_for(config, mesh)
     print(f"--- {name} (refine {refine}) ---")
     print(f"velocity dofs {space.n_u}, pressure dofs {space.n_p}, "
-          f"nu1 = {case['nu1']:.6g}")
+          f"nu1 = {config.nu1:.6g}")
 
-    ops = build_operators(mesh, space, SpatialField.constant(mesh, case["nu1"]))
     start = time.perf_counter()
-    steady = solve_steady(ops, settings)
-    t_solve = time.perf_counter() - start
-    print(f"steady solve: {t_solve:.2f} s, residual {steady.residual:.2e}")
-
-    problem = build_problem(ops, steady)
-    start = time.perf_counter()
-    eig = rightmost(problem, k=k)
-    t_eig = time.perf_counter() - start
+    steady, eig = stability(mesh, space, SpatialField.constant(mesh, config.nu1),
+                            config.solver, config.k, config.eigen_seed)
     lam = eig.eigenvalue
-    print(f"eigensolve ({eig.method}, k={k}): {t_eig:.2f} s")
+    print(f"steady solve and eigensolve ({eig.method}, k={eig.k}): "
+          f"{time.perf_counter() - start:.2f} s, "
+          f"steady residual {steady.residual:.2e}")
     print(f"rightmost eigenvalue: {lam.real:+.6e} {lam.imag:+.6e}i "
           f"(residual {eig.residual:.1e})")
 
@@ -85,9 +68,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--benchmark", choices=["obstacle", "step", "both"],
                         default="both")
-    parser.add_argument("--refine", type=int, default=1,
-                        help="mesh refinement level (default 1; 2 matches "
-                             "the reference values)")
+    parser.add_argument("--refine", type=int, choices=(1, 2), default=1,
+                        help="mesh refinement level: 1 reads the desk "
+                             "configs, 2 the full ones (default 1)")
     parser.add_argument("--csv", default=None,
                         help="write the Ritz values of the last case here")
     args = parser.parse_args()

@@ -94,11 +94,6 @@ class SpatialField:
     values: np.ndarray
 
     @classmethod
-    def from_callable(cls, mesh: Mesh, fn) -> "SpatialField":
-        qd = quad_data(mesh)
-        return cls(np.asarray(fn(qd.qx, qd.qy), dtype=float))
-
-    @classmethod
     def constant(cls, mesh: Mesh, value: float) -> "SpatialField":
         qd = quad_data(mesh)
         return cls(np.full_like(qd.qw, float(value)))

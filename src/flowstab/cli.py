@@ -26,13 +26,12 @@ import numpy as np
 from .config import (ExperimentConfig, build_mesh, build_kl, build_simulator,
                      build_space_for, cov_tag, load_config)
 from .assembly import SpatialField
-from .eigen import build_problem, rightmost, ritz_to_csv
+from .eigen import ritz_to_csv
 from .errors import (ConfigError, ConvergenceError, EigenError,
                      FlowstabError, SolverError)
 from .metrics import Report, build_report, metrics_csv
 from .quadrature import smolyak
-from .simulate import SampleSet, Simulator, monte_carlo, read_cache
-from .steady import build_operators, solve_steady
+from .simulate import SampleSet, Simulator, monte_carlo, read_cache, stability
 from .surrogates import (TrainingSet, gp_train, load_surrogate, nn_train,
                          save_surrogate, sc_train)
 
@@ -92,6 +91,7 @@ def surrogate_provenance(config: ExperimentConfig, sim: Simulator, cov: float,
     """What `train` stores with each surrogate, as read back from JSON."""
     return json.loads(json.dumps({
         "config": config.resolved(), "cov": cov, "model": sim.model.describe(),
+        "simulator": sim.fingerprint,
         "design": {"n_nodes": int(n_nodes), "stride": config.stride}}))
 
 
@@ -204,12 +204,10 @@ def cmd_spectrum(args) -> int:
     config = load_config(args.config)
     mesh = build_mesh(config)
     space = build_space_for(config, mesh)
-    # the deterministic reference computation: constant mean viscosity
-    ops = build_operators(mesh, space, SpatialField.constant(mesh, config.nu1))
     start = time.perf_counter()
-    steady = solve_steady(ops, config.solver)
-    eig = rightmost(build_problem(ops, steady), k=config.k,
-                    seed=config.eigen_seed)
+    # the deterministic reference computation: constant mean viscosity
+    eig = stability(mesh, space, SpatialField.constant(mesh, config.nu1),
+                    config.solver, config.k, config.eigen_seed)[1]
     print(f"[spectrum] total: {time.perf_counter() - start:.2f} s, "
           f"{eig.candidates.size} Ritz values retained")
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError, RankDeficiencyError
 from .meshes import Mesh, MixedSpace, build_space, obstacle_mesh, step_mesh
 from .randomfield import KlExpansion, kl_decompose
 from .simulate import Simulator, family_distribution
@@ -150,6 +150,11 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
         "length": (_NUM, default_length),
         "stretch": (_NUM, 1.0),
     })
+    _at_least("mesh", mesh, {"refine": 1})
+    for key in ("length", "stretch"):
+        if not _finite(mesh[key]):
+            raise ConfigError(
+                f"mesh.{key} must be a finite number, got {mesh[key]!r}")
     if benchmark == "step" and mesh["stretch"] != 1.0:
         raise ConfigError("mesh.stretch only applies to the obstacle benchmark")
 
@@ -265,10 +270,17 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_mesh(config: ExperimentConfig) -> Mesh:
-    if config.benchmark == "obstacle":
-        return obstacle_mesh(config.refine, length=config.length,
-                             stretch=config.stretch)
-    return step_mesh(config.refine, outflow_length=config.length)
+    """The benchmark mesh; settings it cannot be built from are a
+    :class:`ConfigError` that names them."""
+    try:
+        if config.benchmark == "obstacle":
+            return obstacle_mesh(config.refine, length=config.length,
+                                 stretch=config.stretch)
+        return step_mesh(config.refine, outflow_length=config.length)
+    except GeometryError as exc:
+        keys = ", ".join(f"mesh.{key} = {value!r}"
+                         for key, value in config.resolved()["mesh"].items())
+        raise ConfigError(f"{keys}: {exc}") from exc
 
 
 def build_space_for(config: ExperimentConfig, mesh: Mesh) -> MixedSpace:
@@ -281,7 +293,10 @@ def build_kl(config: ExperimentConfig, mesh: Mesh) -> KlExpansion:
     fx, fy = _CORR[config.benchmark]
     lx = fx * float(xs[-1] - xs[0])
     ly = fy * float(ys[-1] - ys[0])
-    return kl_decompose(mesh, config.m, 1.0, lx, ly)
+    try:
+        return kl_decompose(mesh, config.m, 1.0, lx, ly)
+    except RankDeficiencyError as exc:
+        raise ConfigError(f"viscosity.m = {config.m}: {exc}") from exc
 
 
 def build_model(config: ExperimentConfig, kl: KlExpansion,

@@ -87,7 +87,11 @@ def build_problem(ops: Operators, steady: SteadyResult,
 def _select(problem: EigenProblem, values: np.ndarray, vecs: np.ndarray,
             k: int, method: str, empty: str) -> EigenResult:
     """The rightmost of `values` outside the ``1/delta`` cluster; raises
-    :class:`EigenError` with message `empty` when nothing is left."""
+    :class:`EigenError` with message `empty` when nothing is left.
+
+    The two members of a complex pair tie on the real part, so the solver's
+    ordering would pick one; the member with positive imaginary part is
+    returned, with its eigenvector to match."""
     drop = np.zeros(values.shape, dtype=bool)
     if problem.delta is not None:
         spur = 1.0 / problem.delta
@@ -97,6 +101,8 @@ def _select(problem: EigenProblem, values: np.ndarray, vecs: np.ndarray,
     keep = np.flatnonzero(~drop)
     best = keep[np.argmax(values[keep].real)]
     value, vec = values[best], vecs[:, best]
+    if value.imag < 0:
+        value, vec = value.conjugate(), vec.conjugate()
     residual = (np.linalg.norm(problem.lhs @ vec - value * (problem.rhs @ vec))
                 / np.linalg.norm(vec))
     return EigenResult(complex(value), vec, np.sort_complex(values[keep]),

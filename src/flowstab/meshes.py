@@ -284,6 +284,8 @@ def step_mesh(refine: int = 1, outflow_length: float = 30.0) -> Mesh:
     k = int(refine)
     if k < 1 or k != refine:
         raise GeometryError("refine must be a positive integer")
+    if not outflow_length > 0:
+        raise GeometryError("outflow length must be positive")
     nrem = 2.0 * outflow_length * k
     if abs(nrem - round(nrem)) > _TOL:
         raise GeometryError("outflow length must be a multiple of 0.5")

@@ -88,16 +88,6 @@ def kde(outputs, abscissae, bandwidth: float | None = None) -> np.ndarray:
     return density
 
 
-def kde_grid(outputs, n_points: int = _KDE_POINTS,
-             bandwidth: float | None = None) -> np.ndarray:
-    """Abscissae spanning the sample range plus a few bandwidths."""
-    outputs = np.asarray(outputs, dtype=float).ravel()
-    h = silverman_bandwidth(outputs) if bandwidth is None else float(bandwidth)
-    lo = float(outputs.min()) - _KDE_PAD * h
-    hi = float(outputs.max()) + _KDE_PAD * h
-    return np.linspace(lo, hi, n_points)
-
-
 def ks_statistic(sample_a, sample_b) -> float:
     """Two-sample Kolmogorov-Smirnov distance between empirical CDFs."""
     a = np.sort(np.asarray(sample_a, dtype=float).ravel())
@@ -185,8 +175,7 @@ def metrics_csv(reports, path) -> None:
 
 def build_report(mc_values, surrogate_values: dict, *, label: str = "",
                  sample_hash: str = "", n_failed: int = 0,
-                 provenance: dict | None = None,
-                 kde_points: int = _KDE_POINTS) -> Report:
+                 provenance: dict | None = None) -> Report:
     """Assemble the metric table and KDE curves for one CoV setting.
 
     ``mc_values`` and every entry of ``surrogate_values`` must already be
@@ -219,7 +208,7 @@ def build_report(mc_values, surrogate_values: dict, *, label: str = "",
         hi = max(hi, float(values.max()))
 
     pad = _KDE_PAD * silverman_bandwidth(mc_values)
-    abscissae = np.linspace(lo - pad, hi + pad, kde_points)
+    abscissae = np.linspace(lo - pad, hi + pad, _KDE_POINTS)
     curves = {name: kde(vals, abscissae) for name, vals in series.items()}
     return Report(label, sample_hash, int(mc_values.size), int(n_failed),
                   columns, abscissae, curves, provenance or {})

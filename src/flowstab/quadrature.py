@@ -72,10 +72,6 @@ class SparseGrid:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
 
 def _compositions(total: int, parts: int):
     """All tuples of `parts` integers >= 1 summing to `total`, lexicographic."""

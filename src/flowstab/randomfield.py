@@ -29,19 +29,11 @@ from .meshes import Mesh
 _RANK_RTOL = 1e-12
 
 
-def covariance_kernel(p1, p2, sigma: float, lx: float, ly: float):
-    """Separable exponential covariance of two points (or point arrays).
-
-    Accepts anything broadcastable with a trailing coordinate axis of
-    length 2; infinite correlation lengths flatten that direction.
-    """
-    d = np.abs(np.asarray(p1, dtype=float) - np.asarray(p2, dtype=float))
-    return sigma**2 * np.exp(-(d[..., 0] / lx + d[..., 1] / ly))
-
-
 def covariance_matrix(a: np.ndarray, b: np.ndarray,
                       sigma: float, lx: float, ly: float) -> np.ndarray:
-    """Kernel for every pair of rows of ``a`` (na, 2) and ``b`` (nb, 2)."""
+    """Separable exponential covariance for every pair of rows of ``a``
+    (na, 2) and ``b`` (nb, 2); an infinite correlation length flattens
+    that direction."""
     dx = np.abs(a[:, None, 0] - b[None, :, 0])
     dy = np.abs(a[:, None, 1] - b[None, :, 1])
     return sigma**2 * np.exp(-(dx / lx + dy / ly))

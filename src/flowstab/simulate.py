@@ -30,6 +30,12 @@ from .viscosity import ViscosityModel
 
 DISTRIBUTIONS = ("normal", "uniform")
 
+#: version of the stability chain, hashed into the simulator fingerprint;
+#: every change that moves results (selection rule, warm start, tolerances)
+#: bumps it, so cache records and surrogates of an older chain are redone.
+#: 1: of a complex pair, the member with positive imaginary part
+ALGORITHM = 1
+
 #: basis family -> sampling distribution of the germ
 FAMILY_DISTRIBUTION = {"hermite": "normal", "legendre": "uniform"}
 
@@ -211,6 +217,19 @@ def _sample_key(xi: np.ndarray, fingerprint: str) -> str:
     return hashlib.sha256(payload + fingerprint.encode()).hexdigest()
 
 
+def stability(mesh: Mesh, space: MixedSpace, viscosity: SpatialField,
+              settings: SolverSettings, k: int,
+              seed: int) -> tuple[SteadyResult, EigenResult]:
+    """Steady state and rightmost eigenpair for one viscosity field: the
+    one stability chain that every caller runs.
+
+    Raises :class:`SolverError` or :class:`EigenError` on failure.
+    """
+    ops = build_operators(mesh, space, viscosity)
+    steady = solve_steady(ops, settings)
+    return steady, rightmost(build_problem(ops, steady), k=k, seed=seed)
+
+
 @dataclass
 class Simulator:
     """Bound map from a germ sample to the rightmost eigenvalue.
@@ -231,6 +250,7 @@ class Simulator:
     def describe(self) -> dict:
         xs, ys = self.mesh.xs, self.mesh.ys
         return {
+            "algorithm": ALGORITHM,
             "label": self.label,
             "mesh": {
                 "n_cells": int(self.mesh.n_cells),
@@ -260,14 +280,9 @@ class Simulator:
         self.cache = EvalCache(path, self.fingerprint)
 
     def solve(self, viscosity: SpatialField) -> tuple[SteadyResult, EigenResult]:
-        """Steady state and rightmost eigenpair for one viscosity field.
-
-        Raises :class:`SolverError` or :class:`EigenError` on failure.
-        """
-        ops = build_operators(self.mesh, self.space, viscosity)
-        steady = solve_steady(ops, self.settings)
-        problem = build_problem(ops, steady)
-        return steady, rightmost(problem, k=self.k, seed=self.seed)
+        """:func:`stability` under this simulator's mesh and settings."""
+        return stability(self.mesh, self.space, viscosity, self.settings,
+                         self.k, self.seed)
 
     def compute(self, xi) -> SampleRecord:
         """Run the full chain for one sample; failures become records."""
@@ -324,10 +339,6 @@ class McResult:
     @property
     def lam_re(self) -> np.ndarray:
         return np.array([r.lam_re for r in self.records])
-
-    @property
-    def lam_im(self) -> np.ndarray:
-        return np.array([r.lam_im for r in self.records])
 
     def values(self) -> np.ndarray:
         """Real parts of the successful samples, in sample order."""

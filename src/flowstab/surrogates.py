@@ -291,10 +291,6 @@ class NnSurrogate:
     seed: int
     info: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def n_params(self) -> int:
-        return self.w1.size + self.b1.size + self.w2.size + 1
-
     def _map_inputs(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         span = np.where(self.in_hi > self.in_lo, self.in_hi - self.in_lo, 1.0)

@@ -2,6 +2,7 @@
 
 import os
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,8 @@ from scipy import sparse
 from flowstab.assembly import SpatialField
 from flowstab.meshes import build_space, channel_mesh
 from flowstab.steady import build_operators, solve_steady
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def planted_pencil(n, seed, rightmost_re=None):
@@ -101,33 +104,27 @@ def desk_study(tmp_path_factory):
                            samples=samples, by_cov=by_cov)
 
 
-def _reference_run(mesh_builder, pressure, nu1, settings, k):
-    from flowstab.eigen import build_problem, rightmost
+def _reference_run(name):
+    """Stability run at the mean viscosity under a shipped configuration."""
+    from flowstab.config import build_mesh, build_space_for, load_config
+    from flowstab.simulate import stability
 
-    mesh = mesh_builder()
-    space = build_space(mesh, pressure)
-    ops = build_operators(mesh, space, SpatialField.constant(mesh, nu1))
+    config = load_config(CONFIGS / f"{name}.yaml")
+    mesh = build_mesh(config)
+    space = build_space_for(config, mesh)
     start = time.perf_counter()
-    steady = solve_steady(ops, settings)
-    eig = rightmost(build_problem(ops, steady), k=k)
-    seconds = time.perf_counter() - start
-    return SimpleNamespace(space=space, result=eig, seconds=seconds)
+    eig = stability(mesh, space, SpatialField.constant(mesh, config.nu1),
+                    config.solver, config.k, config.eigen_seed)[1]
+    return SimpleNamespace(result=eig, seconds=time.perf_counter() - start)
 
 
 @pytest.fixture(scope="session")
 def reference_obstacle():
     """Production-density obstacle run at the mean viscosity."""
-    from flowstab.meshes import obstacle_mesh
-
-    return _reference_run(lambda: obstacle_mesh(2, stretch=5.0), "q1",
-                      5.36193e-3, None, k=48)
+    return _reference_run("obstacle_full")
 
 
 @pytest.fixture(scope="session")
 def reference_step():
     """Production-density expansion-step run at the mean viscosity."""
-    from flowstab.meshes import step_mesh
-    from flowstab.steady import SolverSettings
-
-    return _reference_run(lambda: step_mesh(2), "pm1",
-                      4.5455e-3, SolverSettings(20, 20), k=24)
+    return _reference_run("step_full")

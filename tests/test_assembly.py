@@ -104,7 +104,8 @@ def test_diffusion_constant_viscosity_closed_form():
 def test_diffusion_variable_viscosity_against_loop(oracle):
     mesh = single_cell()[0]
     nu = lambda x, y: 1.0 + x + y**2
-    A = assemble_diffusion(mesh, SpatialField.from_callable(mesh, nu))
+    qd = quad_data(mesh)
+    A = assemble_diffusion(mesh, SpatialField(nu(qd.qx, qd.qy)))
     want = np.empty((9, 9))
     for a in range(9):
         for b in range(9):
@@ -125,12 +126,12 @@ def test_diffusion_linear_in_viscosity():
 
 def test_nonpositive_viscosity_rejected():
     mesh = single_cell()[0]
-    field = SpatialField.from_callable(mesh, lambda x, y: x - 0.2)
+    qd = quad_data(mesh)
+    field = SpatialField(qd.qx - 0.2)
     with pytest.raises(PositivityError):
         assemble_diffusion(mesh, field)
     # NaN compares false both ways; it must not pass as positive
-    field = SpatialField.from_callable(
-        mesh, lambda x, y: np.where(x > 0.3, np.nan, 1.0))
+    field = SpatialField(np.where(qd.qx > 0.3, np.nan, 1.0))
     with pytest.raises(PositivityError):
         assemble_diffusion(mesh, field)
 
@@ -252,8 +253,8 @@ def test_forcing_rows_carry_dirichlet_values():
 
 def test_assembly_independent_of_cell_order():
     mesh = obstacle_mesh(refine=1)
-    nu = SpatialField.from_callable(mesh, lambda x, y: 1.0 + 0.1 * x * y)
-    A = assemble_diffusion(mesh, nu)
+    qd = quad_data(mesh)
+    A = assemble_diffusion(mesh, SpatialField(1.0 + 0.1 * qd.qx * qd.qy))
 
     shuffled = obstacle_mesh(refine=1)
     rng = np.random.default_rng(11)
@@ -261,8 +262,8 @@ def test_assembly_independent_of_cell_order():
     shuffled.cells = shuffled.cells[perm]
     shuffled.cell_vnodes = shuffled.cell_vnodes[perm]
     shuffled.cell_pnodes = shuffled.cell_pnodes[perm]
-    nu2 = SpatialField(SpatialField.from_callable(shuffled, lambda x, y: 1.0 + 0.1 * x * y).values)
-    A2 = assemble_diffusion(shuffled, nu2)
+    qd2 = quad_data(shuffled)
+    A2 = assemble_diffusion(shuffled, SpatialField(1.0 + 0.1 * qd2.qx * qd2.qy))
     assert abs(A - A2).max() < 1e-13
 
 

@@ -6,11 +6,13 @@ setup small enough that a full train/assess cycle stays in seconds.
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 import yaml
 
+from conftest import CONFIGS
 from flowstab.cli import main, surrogate_path
 from flowstab.config import load_config
 
@@ -107,6 +109,27 @@ def test_invalid_config_exit_2(workdir):
     bad = workdir / "bad.yaml"
     bad.write_text("benchmark: obstacle\nviscosity: {covs: [0.1]}\n")
     assert main(["train", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("name, section, values, match", [
+    ("obstacle_desk", "mesh", {"refine": 0}, r"mesh\.refine must be >= 1"),
+    ("obstacle_desk", "mesh", {"length": -1.0}, r"mesh\.length = -1\.0"),
+    ("obstacle_desk", "mesh", {"stretch": 0.0}, r"mesh\.stretch = 0\.0"),
+    ("obstacle_desk", "mesh", {"length": float("nan")},
+     r"mesh\.length must be a finite number"),
+    ("obstacle_desk", "viscosity", {"m": 500}, r"viscosity\.m = 500"),
+    ("step_desk", "mesh", {"length": -3.0}, r"mesh\.length = -3\.0"),
+], ids=["refine-0", "length-neg", "stretch-0", "length-nan", "m-500",
+        "step-length-neg"])
+def test_mesh_and_mode_ranges_exit_2(workdir, capsys, name, section, values,
+                                     match):
+    # caught before any solve, whether by the schema or by the builders
+    data = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    data[section].update(values)
+    path = workdir / f"range_{name}.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["train", "--config", str(path)]) == 2
+    assert re.search(match, capsys.readouterr().err)
 
 
 def test_nonconvergence_exit_3_with_trace(workdir, capsys):
@@ -333,3 +356,60 @@ def test_assess_after_train_loads_without_refitting(workdir, monkeypatch):
 
     monkeypatch.setattr(cli, "train_surrogates", refit)
     assert main(["assess", "--config", str(path), "--workers", "1"]) == 0
+
+
+def test_surrogate_of_another_simulator_is_retrained(workdir, monkeypatch):
+    # a surrogate file written under an older stability chain (same config
+    # and viscosity model, another simulator fingerprint) is not reused
+    import flowstab.cli as cli
+    from flowstab.config import build_simulator
+    from flowstab.simulate import Simulator
+    from flowstab.surrogates import save_surrogate, sc_train
+
+    path = write_config(workdir / "older.yaml",
+                        surrogates={"models": ["sc"]},
+                        paths={"outdir": "out_older", "cache": None})
+    config = load_config(path)
+    cov = config.covs[0]
+    sim = build_simulator(config, cov)
+    grid, samples = cli.design_samples(config)
+    current = cli.surrogate_provenance(config, sim, cov, samples.n)
+    describe = Simulator.describe
+    monkeypatch.setattr(Simulator, "describe",
+                        lambda self: {**describe(self), "algorithm": 0})
+    older = cli.surrogate_provenance(config, sim, cov, samples.n)
+    monkeypatch.undo()
+    assert older != current
+
+    config.outdir.mkdir(parents=True, exist_ok=True)
+    fitted = sc_train(grid, np.zeros(samples.n), config.p)
+    calls = []
+    monkeypatch.setattr(cli, "train_surrogates",
+                        lambda *args, **kwargs: calls.append(args) or {})
+    save_surrogate(fitted, surrogate_path(config, "sc", cov), provenance=current)
+    assert set(cli.ensure_surrogates(config, sim, cov)) == {"sc"}
+    assert calls == []
+    save_surrogate(fitted, surrogate_path(config, "sc", cov), provenance=older)
+    assert cli.ensure_surrogates(config, sim, cov) == {}
+    assert len(calls) == 1
+
+
+def test_spectrum_and_simulator_run_the_one_chain(workdir, monkeypatch):
+    import flowstab.simulate as simulate
+    from flowstab.config import build_simulator
+
+    hits = {"solve_steady": 0, "rightmost": 0}
+    for name in hits:
+        def counted(*args, _inner=getattr(simulate, name), _name=name,
+                    **kwargs):
+            hits[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(simulate, name, counted)
+
+    path = write_config(workdir / "chain.yaml",
+                        paths={"outdir": "out_chain", "cache": None})
+    assert main(["spectrum", "--config", str(path)]) == 0
+    assert hits == {"solve_steady": 1, "rightmost": 1}
+    sim = build_simulator(load_config(path), 0.05, use_cache=False)
+    assert not sim.compute(np.zeros(2)).failed
+    assert hits == {"solve_steady": 2, "rightmost": 2}

@@ -5,8 +5,8 @@ import pytest
 from scipy import linalg, sparse
 
 from conftest import channel_flow_pencil, planted_pencil
-from flowstab.eigen import (EigenProblem, build_problem, dense_rightmost,
-                            rightmost, ritz_to_csv)
+from flowstab.eigen import (EigenProblem, _select, build_problem,
+                            dense_rightmost, rightmost, ritz_to_csv)
 from flowstab.errors import EigenError
 
 
@@ -100,6 +100,21 @@ def test_candidates_closed_under_conjugation():
     complex_vals = result.candidates[np.abs(result.candidates.imag) > 1e-10]
     for v in complex_vals:
         assert np.min(np.abs(result.candidates - np.conj(v))) < 1e-8
+
+
+def test_select_returns_upper_member_of_a_pair():
+    # a rotation block has eigenvalues a -+ bi; hand over a - bi first
+    a, b = -0.3, 1.7
+    problem = EigenProblem(sparse.csr_matrix([[a, b], [-b, a]]),
+                           sparse.eye(2, format="csr"))
+    values, vecs = np.linalg.eig(problem.lhs.toarray())
+    order = np.argsort(values.imag)
+    assert values[order[0]].imag < 0
+    result = _select(problem, values[order], vecs[:, order], 2, "dense",
+                     "nothing left")
+    assert result.eigenvalue == pytest.approx(complex(a, b), abs=1e-14)
+    # the eigenvector is conjugated along with the value
+    assert result.residual < 1e-14
 
 
 def test_residual_certificate():

@@ -127,6 +127,8 @@ def test_misaligned_requests_rejected():
     with pytest.raises(GeometryError):
         step_mesh(refine=1, outflow_length=30.3)
     with pytest.raises(GeometryError):
+        step_mesh(refine=1, outflow_length=-3.0)
+    with pytest.raises(GeometryError):
         geometric_breaks(0.0, 1.0, 4, ratio=0.5, refine="end")
     with pytest.raises(GeometryError):
         build_space(channel_mesh(2, 2), "p2")

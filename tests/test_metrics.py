@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flowstab.errors import ConfigError
-from flowstab.metrics import (Report, build_report, kde, kde_grid,
-                              ks_statistic, metrics_csv, moments, prob_nonneg,
-                              rmse, silverman_bandwidth)
+from flowstab.metrics import (Report, build_report, kde, ks_statistic,
+                              metrics_csv, moments, prob_nonneg, rmse,
+                              silverman_bandwidth)
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 vectors = hnp.arrays(np.float64, st.integers(1, 40), elements=finite)
@@ -108,7 +108,8 @@ def test_kde_integrates_to_one():
     for sample in (rng.standard_normal(500),
                    rng.uniform(-1, 1, 200) ** 3,
                    np.array([0.0])):
-        grid = kde_grid(sample, n_points=801)
+        pad = 3.0 * silverman_bandwidth(sample)
+        grid = np.linspace(sample.min() - pad, sample.max() + pad, 801)
         mass = np.trapezoid(kde(sample, grid), grid)
         assert abs(mass - 1.0) <= 0.01
 
@@ -164,13 +165,13 @@ def test_ks_statistic_bounds(a, b):
     assert d == pytest.approx(ks_statistic(b, a), abs=1e-15)
 
 
-def _toy_report(**kwargs):
+def _toy_report():
     rng = np.random.default_rng(6)
     mc = rng.standard_normal(100) * 0.02 - 0.01
     sur = {"sc": mc + 1e-5 * rng.standard_normal(100),
            "gp": mc + 1e-3 * rng.standard_normal(100)}
     return build_report(mc, sur, label="toy", sample_hash="abc",
-                        n_failed=2, **kwargs), mc, sur
+                        n_failed=2), mc, sur
 
 
 def test_report_columns_and_rows():
@@ -210,13 +211,13 @@ def test_report_bit_exact_rebuild():
 
 
 def test_report_file_round_trip(tmp_path):
-    report, mc, _ = _toy_report(kde_points=64)
+    report, mc, _ = _toy_report()
     jpath = tmp_path / "report.json"
     report.to_json(jpath)
     data = json.loads(jpath.read_text())
     assert data["label"] == "toy"
     assert data["columns"]["gp"]["mu"] == report.columns["gp"]["mu"]
-    assert len(data["kde"]["abscissae"]) == 64
+    assert len(data["kde"]["abscissae"]) == 512
 
     mpath = tmp_path / "metrics.csv"
     metrics_csv([report], mpath)
@@ -230,7 +231,7 @@ def test_report_file_round_trip(tmp_path):
     report.kde_csv(kpath)
     rows = kpath.read_text().strip().splitlines()
     assert rows[0] == "abscissa,mc,sc,gp"
-    assert len(rows) == 65
+    assert len(rows) == 513
     first = rows[1].split(",")
     assert float(first[0]) == report.kde_abscissae[0]
     assert float(first[1]) == report.kde_curves["mc"][0]

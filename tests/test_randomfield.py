@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from flowstab.assembly import quad_data
 from flowstab.errors import RankDeficiencyError
 from flowstab.meshes import channel_mesh, obstacle_mesh
-from flowstab.randomfield import covariance_kernel, covariance_matrix, kl_decompose
+from flowstab.randomfield import covariance_matrix, kl_decompose
 
 
 def nystrom_1d_eigvals(breaks, sigma2, length):
@@ -26,14 +26,21 @@ def nystrom_1d_eigvals(breaks, sigma2, length):
     return np.linalg.eigvalsh(0.5 * (k + k.T))[::-1]
 
 
+def kernel(p1, p2, sigma, lx, ly):
+    """Covariance of two points, through the 1-row case of the matrix."""
+    return covariance_matrix(np.atleast_2d(np.asarray(p1, dtype=float)),
+                             np.atleast_2d(np.asarray(p2, dtype=float)),
+                             sigma, lx, ly)[0, 0]
+
+
 def test_kernel_point_values():
     p = (0.3, -0.2)
-    assert covariance_kernel(p, p, 0.7, 1.0, 2.0) == pytest.approx(0.49)
+    assert kernel(p, p, 0.7, 1.0, 2.0) == pytest.approx(0.49)
     a, b = np.array([0.0, 0.0]), np.array([1.0, -2.0])
     expect = 0.49 * np.exp(-1.0 / 1.5 - 2.0 / 0.5)
-    assert covariance_kernel(a, b, 0.7, 1.5, 0.5) == pytest.approx(expect, rel=1e-14)
+    assert kernel(a, b, 0.7, 1.5, 0.5) == pytest.approx(expect, rel=1e-14)
     # infinite correlation lengths flatten the kernel
-    assert covariance_kernel(a, b, 0.7, np.inf, np.inf) == pytest.approx(0.49)
+    assert kernel(a, b, 0.7, np.inf, np.inf) == pytest.approx(0.49)
 
 
 @settings(max_examples=60, deadline=None)
@@ -44,11 +51,10 @@ def test_kernel_point_values():
 )
 def test_kernel_symmetry_bounds_separability(x1, y1, x2, y2, sigma, lx, ly):
     a, b = np.array([x1, y1]), np.array([x2, y2])
-    cab = covariance_kernel(a, b, sigma, lx, ly)
-    assert cab == covariance_kernel(b, a, sigma, lx, ly)
+    cab = kernel(a, b, sigma, lx, ly)
+    assert cab == kernel(b, a, sigma, lx, ly)
     assert 0.0 < cab <= sigma**2 + 1e-15
-    split = covariance_kernel(a, b, sigma, lx, np.inf) \
-        * covariance_kernel(a, b, 1.0, np.inf, ly)
+    split = kernel(a, b, sigma, lx, np.inf) * kernel(a, b, 1.0, np.inf, ly)
     assert cab == pytest.approx(split, rel=1e-14)
 
 
@@ -124,7 +130,11 @@ def test_covariance_matrix_agrees_with_kernel():
     a = rng.uniform(-1, 1, size=(4, 2))
     b = rng.uniform(-1, 1, size=(5, 2))
     mat = covariance_matrix(a, b, 0.8, 0.7, 0.9)
+    assert mat.shape == (4, 5)
     for i in range(4):
         for j in range(5):
             assert mat[i, j] == pytest.approx(
-                covariance_kernel(a[i], b[j], 0.8, 0.7, 0.9), rel=1e-14)
+                kernel(a[i], b[j], 0.8, 0.7, 0.9), rel=1e-14)
+            dx, dy = np.abs(a[i] - b[j])
+            assert mat[i, j] == pytest.approx(
+                0.64 * np.exp(-(dx / 0.7 + dy / 0.9)), rel=1e-14)

@@ -208,7 +208,9 @@ def make_net(w1, b1, w2, b2, dim, scaler=None):
 def test_nn_parameter_count(grid29):
     ts = TrainingSet.from_samples(grid29.nodes, np.sin(grid29.nodes[:, 0]))
     net = nn_train(ts, seed=0)
-    assert net.n_params == 20 * ts.dim + 41 == 81
+    assert net.w1.shape == (20, ts.dim)
+    assert net.b1.shape == net.w2.shape == (20,)
+    assert net.w1.size + net.b1.size + net.w2.size + 1 == 81
 
 
 def test_nn_zero_weights_give_bias():
