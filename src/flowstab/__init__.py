@@ -8,12 +8,12 @@ random viscosity models, sparse-grid collocation, Gaussian-process and
 neural-network surrogates, and the Monte Carlo machinery that validates
 them.
 
-The top level exports the study entry points listed in the README's
-Library section; everything else is imported from its submodule.
+The top level exports the six study entry points listed in the README's
+Library section; everything else, the mesh and KL builders of
+``flowstab.config`` among it, is imported from its submodule.
 """
 
-from .config import (build_kl, build_mesh, build_model, build_simulator,
-                     build_space_for, config_from_dict, load_config)
+from .config import build_simulator, config_from_dict, load_config
 from .quadrature import smolyak
 from .simulate import SampleSet, monte_carlo
 
@@ -21,11 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SampleSet",
-    "build_kl",
-    "build_mesh",
-    "build_model",
     "build_simulator",
-    "build_space_for",
     "config_from_dict",
     "load_config",
     "monte_carlo",

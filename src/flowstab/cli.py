@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ExperimentConfig, build_mesh, build_kl, build_simulator,
+from .config import (ExperimentConfig, build_mesh, build_simulator,
                      build_space_for, cov_tag, load_config)
 from .assembly import SpatialField
 from .eigen import ritz_to_csv
@@ -48,8 +48,8 @@ def design_samples(config: ExperimentConfig):
     return grid, samples
 
 
-def train_surrogates(config: ExperimentConfig, sim: Simulator, cov: float,
-                     workers: int = 1, save: bool = True) -> dict:
+def train_surrogates(config: ExperimentConfig, sim: Simulator,
+                     workers: int = 1) -> dict:
     """Run the simulator at the design nodes and fit the selected models.
 
     The collocation surrogate always uses the full grid (its weights are
@@ -63,8 +63,10 @@ def train_surrogates(config: ExperimentConfig, sim: Simulator, cov: float,
             f"{result.n_failed} design-node solves failed "
             f"(nodes {bad}); surrogates need the full grid")
 
+    cov = sim.model.cov
     surrogates: dict[str, object] = {}
-    provenance = surrogate_provenance(config, sim, cov, samples.n)
+    provenance = surrogate_provenance(config, sim)
+    config.outdir.mkdir(parents=True, exist_ok=True)
     for name in config.models:
         start = time.perf_counter()
         if name == "sc":
@@ -79,39 +81,39 @@ def train_surrogates(config: ExperimentConfig, sim: Simulator, cov: float,
         elapsed = time.perf_counter() - start
         print(f"[train] {name} ({cov_tag(cov)}): {elapsed:.2f} s")
         surrogates[name] = fitted
-        if save:
-            config.outdir.mkdir(parents=True, exist_ok=True)
-            save_surrogate(fitted, surrogate_path(config, name, cov),
-                           provenance=provenance)
+        save_surrogate(fitted, surrogate_path(config, name, cov),
+                       provenance=provenance)
     return surrogates
 
 
-def surrogate_provenance(config: ExperimentConfig, sim: Simulator, cov: float,
-                         n_nodes: int) -> dict:
+def surrogate_provenance(config: ExperimentConfig, sim: Simulator) -> dict:
     """What `train` stores with each surrogate, as read back from JSON."""
     return json.loads(json.dumps({
-        "config": config.resolved(), "cov": cov, "model": sim.model.describe(),
-        "simulator": sim.fingerprint,
-        "design": {"n_nodes": int(n_nodes), "stride": config.stride}}))
+        "config": config.resolved(), "cov": sim.model.cov,
+        "model": sim.model.describe(), "simulator": sim.fingerprint,
+        "design": {"n_nodes": design_samples(config)[1].n,
+                   "stride": config.stride}}))
 
 
-def ensure_surrogates(config: ExperimentConfig, sim: Simulator, cov: float,
+def ensure_surrogates(config: ExperimentConfig, sim: Simulator,
                       workers: int = 1) -> dict:
     """Load the trained surrogates, or train them all again when a file is
     missing or its stored provenance is not what `train` would write now."""
-    paths = {name: surrogate_path(config, name, cov) for name in config.models}
+    paths = {name: surrogate_path(config, name, sim.model.cov)
+             for name in config.models}
     if all(path.exists() for path in paths.values()):
         loaded = {name: load_surrogate(path) for name, path in paths.items()}
-        want = surrogate_provenance(config, sim, cov, design_samples(config)[1].n)
+        want = surrogate_provenance(config, sim)
         if all(json.loads(path.read_text()).get("provenance") == want
                for path in paths.values()):
             return loaded
-    return train_surrogates(config, sim, cov, workers=workers)
+    return train_surrogates(config, sim, workers=workers)
 
 
-def assess_one(config: ExperimentConfig, sim: Simulator, cov: float,
-               surrogates: dict, workers: int = 1) -> Report:
-    """Monte Carlo run plus surrogate columns for one CoV setting."""
+def assess_one(config: ExperimentConfig, sim: Simulator, surrogates: dict,
+               workers: int = 1) -> Report:
+    """Monte Carlo run plus surrogate columns for the simulator's CoV."""
+    cov = sim.model.cov
     samples = SampleSet.draw(config.n_mc, config.m, config.distribution,
                              config.sample_seed)
     start = time.perf_counter()
@@ -230,12 +232,9 @@ def cmd_spectrum(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config)
     workers = _resolve_workers(args)
-    mesh = build_mesh(config)
-    space = build_space_for(config, mesh)
-    kl = build_kl(config, mesh)
     for cov in config.covs:
-        sim = build_simulator(config, cov, mesh=mesh, space=space, kl=kl)
-        train_surrogates(config, sim, cov, workers=workers)
+        sim = build_simulator(config, cov)
+        train_surrogates(config, sim, workers=workers)
         for name in config.models:
             print(f"wrote {surrogate_path(config, name, cov)}")
     return 0
@@ -244,16 +243,13 @@ def cmd_train(args) -> int:
 def cmd_assess(args) -> int:
     config = load_config(args.config)
     workers = _resolve_workers(args)
-    mesh = build_mesh(config)
-    space = build_space_for(config, mesh)
-    kl = build_kl(config, mesh)
     config.outdir.mkdir(parents=True, exist_ok=True)
 
     reports = []
     for cov in config.covs:
-        sim = build_simulator(config, cov, mesh=mesh, space=space, kl=kl)
-        surrogates = ensure_surrogates(config, sim, cov, workers=workers)
-        report = assess_one(config, sim, cov, surrogates, workers=workers)
+        sim = build_simulator(config, cov)
+        surrogates = ensure_surrogates(config, sim, workers=workers)
+        report = assess_one(config, sim, surrogates, workers=workers)
         tag = cov_tag(cov)
         report.to_json(config.outdir / f"report_{tag}.json")
         report.kde_csv(config.outdir / f"kde_{tag}.csv")

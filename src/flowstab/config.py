@@ -307,19 +307,16 @@ def build_model(config: ExperimentConfig, kl: KlExpansion,
 
 
 def build_simulator(config: ExperimentConfig, cov: float,
-                    use_cache: bool = True,
-                    mesh: Mesh | None = None,
-                    space: MixedSpace | None = None,
-                    kl: KlExpansion | None = None) -> Simulator:
+                    use_cache: bool = True) -> Simulator:
     """Assemble the bound simulator for one CoV setting.
 
-    Mesh, space and KL expansion can be passed in to share the (costly)
-    deterministic setup across several CoV values.
+    Each call builds its own mesh, space, KL expansion and viscosity
+    model.  That setup takes under a second; the study the simulator then
+    runs takes minutes to hours.
     """
-    mesh = build_mesh(config) if mesh is None else mesh
-    space = build_space_for(config, mesh) if space is None else space
-    kl = build_kl(config, mesh) if kl is None else kl
-    model = build_model(config, kl, cov)
+    mesh = build_mesh(config)
+    space = build_space_for(config, mesh)
+    model = build_model(config, build_kl(config, mesh), cov)
     sim = Simulator(mesh, space, model, settings=config.solver,
                     k=config.k, seed=config.eigen_seed,
                     label=f"{config.benchmark}-cov{cov:g}")

@@ -238,6 +238,8 @@ def obstacle_mesh(refine: int = 1, length: float = 8.0,
     if k < 1 or k != refine:
         raise GeometryError("refine must be a positive integer")
     nx = 4.0 * length * k
+    if not np.isfinite(nx):
+        raise GeometryError("length gives no finite cell count")
     if abs(nx - round(nx)) > _TOL:
         raise GeometryError("length must be a multiple of 0.25 so the obstacle aligns")
     nx = int(round(nx))
@@ -287,6 +289,8 @@ def step_mesh(refine: int = 1, outflow_length: float = 30.0) -> Mesh:
     if not outflow_length > 0:
         raise GeometryError("outflow length must be positive")
     nrem = 2.0 * outflow_length * k
+    if not np.isfinite(nrem):
+        raise GeometryError("outflow length gives no finite cell count")
     if abs(nrem - round(nrem)) > _TOL:
         raise GeometryError("outflow length must be a multiple of 0.5")
     nx_in = 2 * k

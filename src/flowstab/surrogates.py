@@ -422,8 +422,6 @@ def nn_train(design: TrainingSet, seed: int = 0) -> NnSurrogate:
         if objective < beta * best[1] + alpha * best[2]:
             best = (theta.copy(), e_data, e_weight)
 
-    if objective < beta * best[1] + alpha * best[2]:
-        best = (theta.copy(), e_data, e_weight)
     best_theta = best[0]
     w1, b1, w2, b2 = _nn_unpack(best_theta, m)
 

@@ -65,12 +65,12 @@ def desk_study(tmp_path_factory):
     """Full coarse-mesh obstacle study shared by the end-to-end criteria.
 
     For each CoV: the simulator, its design-node outputs, the three
-    trained surrogates, and a 200-sample Monte Carlo run.  An evaluation
-    cache serves the design-node outputs from the training run.
+    trained surrogates, and a 200-sample Monte Carlo run.  The outdir and
+    the evaluation cache sit in a temporary directory; the cache serves
+    the design-node outputs from the training run.
     """
     from flowstab.cli import design_samples, train_surrogates
-    from flowstab.config import (build_kl, build_mesh, build_simulator,
-                                 build_space_for, config_from_dict)
+    from flowstab.config import build_simulator, config_from_dict
     from flowstab.simulate import SampleSet, monte_carlo
 
     config = config_from_dict({
@@ -80,22 +80,14 @@ def desk_study(tmp_path_factory):
         "eigen": {"seed": 0},
         "surrogates": {"nn_seed": 0},
         "assess": {"n_mc": 200, "sample_seed": 101},
-        "paths": {"cache": None},
-    })
-    mesh = build_mesh(config)
-    space = build_space_for(config, mesh)
-    kl = build_kl(config, mesh)
+    }, base_dir=tmp_path_factory.mktemp("desk_study"))
     grid, gsamples = design_samples(config)
     samples = SampleSet.draw(config.n_mc, config.m, config.distribution,
                              config.sample_seed)
-    cache = tmp_path_factory.mktemp("desk_study") / "cache.jsonl"
     by_cov = {}
     for cov in config.covs:
-        sim = build_simulator(config, cov, use_cache=False,
-                              mesh=mesh, space=space, kl=kl)
-        sim.attach_cache(cache)
-        surrogates = train_surrogates(config, sim, cov,
-                                      workers=_workers(), save=False)
+        sim = build_simulator(config, cov)
+        surrogates = train_surrogates(config, sim, workers=_workers())
         design_mc = monte_carlo(sim, gsamples, workers=_workers())
         mc = monte_carlo(sim, samples, workers=_workers())
         by_cov[cov] = SimpleNamespace(sim=sim, surrogates=surrogates,

@@ -119,8 +119,12 @@ def test_invalid_config_exit_2(workdir):
      r"mesh\.length must be a finite number"),
     ("obstacle_desk", "viscosity", {"m": 500}, r"viscosity\.m = 500"),
     ("step_desk", "mesh", {"length": -3.0}, r"mesh\.length = -3\.0"),
+    ("obstacle_desk", "mesh", {"length": 1.0e+308},
+     r"mesh\.length = 1e\+308,.*finite cell count"),
+    ("step_desk", "mesh", {"length": 1.0e+308},
+     r"mesh\.length = 1e\+308,.*finite cell count"),
 ], ids=["refine-0", "length-neg", "stretch-0", "length-nan", "m-500",
-        "step-length-neg"])
+        "step-length-neg", "length-huge", "step-length-huge"])
 def test_mesh_and_mode_ranges_exit_2(workdir, capsys, name, section, values,
                                      match):
     # caught before any solve, whether by the schema or by the builders
@@ -373,11 +377,11 @@ def test_surrogate_of_another_simulator_is_retrained(workdir, monkeypatch):
     cov = config.covs[0]
     sim = build_simulator(config, cov)
     grid, samples = cli.design_samples(config)
-    current = cli.surrogate_provenance(config, sim, cov, samples.n)
+    current = cli.surrogate_provenance(config, sim)
     describe = Simulator.describe
     monkeypatch.setattr(Simulator, "describe",
                         lambda self: {**describe(self), "algorithm": 0})
-    older = cli.surrogate_provenance(config, sim, cov, samples.n)
+    older = cli.surrogate_provenance(config, sim)
     monkeypatch.undo()
     assert older != current
 
@@ -387,10 +391,10 @@ def test_surrogate_of_another_simulator_is_retrained(workdir, monkeypatch):
     monkeypatch.setattr(cli, "train_surrogates",
                         lambda *args, **kwargs: calls.append(args) or {})
     save_surrogate(fitted, surrogate_path(config, "sc", cov), provenance=current)
-    assert set(cli.ensure_surrogates(config, sim, cov)) == {"sc"}
+    assert set(cli.ensure_surrogates(config, sim)) == {"sc"}
     assert calls == []
     save_surrogate(fitted, surrogate_path(config, "sc", cov), provenance=older)
-    assert cli.ensure_surrogates(config, sim, cov) == {}
+    assert cli.ensure_surrogates(config, sim) == {}
     assert len(calls) == 1
 
 
