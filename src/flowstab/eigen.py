@@ -38,6 +38,11 @@ _CLUSTER_RTOL = 0.01
 #: problems smaller than this go straight to the dense path
 _DENSE_FALLBACK = 30
 
+#: relative accuracy ARPACK asks of its Ritz values; 0 (machine precision)
+#: took 1.3-6x the operator applies on the desk obstacle and the refine-2
+#: step flows, for a selected eigenvalue that moved by less than 1e-15
+_ARPACK_TOL = 1e-8
+
 
 @dataclass
 class EigenProblem:
@@ -125,35 +130,42 @@ def rightmost(problem: EigenProblem, k: int = 24, seed: int = 0) -> EigenResult:
 
     The `k` Ritz values nearest the origin are computed; if the selected
     value sits at the outer edge of that window the computation is
-    repeated once with ``2k`` to make sure nothing further right was
-    missed.  Problems with fewer than a handful of DOFs fall back to the
-    dense path.
+    repeated once with ``2k``, on the same factorization, to make sure
+    nothing further right was missed.  Problems with fewer than a handful
+    of DOFs fall back to the dense path.
     """
     n = problem.dim
     if n < _DENSE_FALLBACK:
         return dense_rightmost(problem)
-    k_eff = min(k, n - 2)
     try:
         lu = splu(problem.lhs.tocsc())
     except RuntimeError as exc:
         raise EigenError(f"factorization of the Jacobian failed: {exc}") from exc
     op = LinearOperator((n, n), matvec=lambda x: lu.solve(problem.rhs @ x))
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    k_eff = min(k, n - 2)
+    result, edge = _window(problem, op, k_eff, seed)
+    if edge and k_eff < n - 2:
+        result = _window(problem, op, min(2 * k, n - 2), seed)[0]
+    return result
+
+
+def _window(problem: EigenProblem, op: LinearOperator, k: int,
+            seed: int) -> tuple[EigenResult, bool]:
+    """The selection among the `k` Ritz values of `op` of largest
+    magnitude, and whether it sits at the outer edge of that window."""
+    v0 = np.random.default_rng(seed).standard_normal(problem.dim)
     try:
-        mu, vecs = eigs(op, k=k_eff, which="LM", v0=v0)
+        mu, vecs = eigs(op, k=k, which="LM", v0=v0, tol=_ARPACK_TOL)
     except ArpackNoConvergence as exc:
         mu, vecs = exc.eigenvalues, exc.eigenvectors
         if mu.size == 0:
             raise EigenError("Arnoldi iteration returned no converged values") from exc
     values = 1.0 / mu
-    result = _select(problem, values, vecs, k_eff, "arnoldi",
+    result = _select(problem, values, vecs, k, "arnoldi",
                      "all converged Ritz values sit in the 1/delta cluster; "
                      "increase k")
     # window-edge guard: smallest |mu| are the least converged directions
-    edge = np.abs(result.eigenvalue) >= 0.9 * np.abs(values).max()
-    if edge and k_eff < n - 2:
-        return rightmost(problem, k=min(2 * k, n - 2), seed=seed)
-    return result
+    return result, bool(np.abs(result.eigenvalue) >= 0.9 * np.abs(values).max())
 
 
 def ritz_to_csv(result: EigenResult, path) -> None:

@@ -16,6 +16,7 @@ import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -25,7 +26,8 @@ from .assembly import SpatialField
 from .errors import ConfigError, EigenError, PositivityError, SolverError
 from .eigen import EigenResult, build_problem, rightmost
 from .meshes import Mesh, MixedSpace
-from .steady import SolverSettings, SteadyResult, build_operators, solve_steady
+from .steady import (FlowState, SolverSettings, SteadyResult, build_operators,
+                     solve_steady)
 from .viscosity import ViscosityModel
 
 DISTRIBUTIONS = ("normal", "uniform")
@@ -34,7 +36,8 @@ DISTRIBUTIONS = ("normal", "uniform")
 #: every change that moves results (selection rule, warm start, tolerances)
 #: bumps it, so cache records and surrogates of an older chain are redone.
 #: 1: of a complex pair, the member with positive imaginary part
-ALGORITHM = 1
+#: 2: Newton from the nominal steady state, steady tolerance 1e-10, ARPACK tol 1e-8
+ALGORITHM = 2
 
 #: basis family -> sampling distribution of the germ
 FAMILY_DISTRIBUTION = {"hermite": "normal", "legendre": "uniform"}
@@ -218,15 +221,16 @@ def _sample_key(xi: np.ndarray, fingerprint: str) -> str:
 
 
 def stability(mesh: Mesh, space: MixedSpace, viscosity: SpatialField,
-              settings: SolverSettings, k: int,
-              seed: int) -> tuple[SteadyResult, EigenResult]:
+              settings: SolverSettings, k: int, seed: int,
+              start: FlowState | None = None) -> tuple[SteadyResult, EigenResult]:
     """Steady state and rightmost eigenpair for one viscosity field: the
-    one stability chain that every caller runs.
+    one stability chain that every caller runs.  The steady solve is
+    Newton from `start` when one is given (see :func:`solve_steady`).
 
     Raises :class:`SolverError` or :class:`EigenError` on failure.
     """
     ops = build_operators(mesh, space, viscosity)
-    steady = solve_steady(ops, settings)
+    steady = solve_steady(ops, settings, start)
     return steady, rightmost(build_problem(ops, steady), k=k, seed=seed)
 
 
@@ -279,10 +283,23 @@ class Simulator:
     def attach_cache(self, path) -> None:
         self.cache = EvalCache(path, self.fingerprint)
 
+    @cached_property
+    def nominal(self) -> Optional[FlowState]:
+        """Steady state at the germ ``xi = 0``, from which every sample's
+        steady solve starts; computed on first use and kept as vectors
+        only.  ``None`` when that solve fails: every sample then runs cold."""
+        try:
+            viscosity = self.model.evaluate(np.zeros(self.model.dim))
+            ops = build_operators(self.mesh, self.space, viscosity)
+            return solve_steady(ops, self.settings).state
+        except (PositivityError, SolverError):
+            return None
+
     def solve(self, viscosity: SpatialField) -> tuple[SteadyResult, EigenResult]:
-        """:func:`stability` under this simulator's mesh and settings."""
+        """:func:`stability` under this simulator's mesh and settings,
+        started from :attr:`nominal`."""
         return stability(self.mesh, self.space, viscosity, self.settings,
-                         self.k, self.seed)
+                         self.k, self.seed, self.nominal)
 
     def compute(self, xi) -> SampleRecord:
         """Run the full chain for one sample; failures become records."""
@@ -379,6 +396,7 @@ def monte_carlo(simulator: Simulator, samples: SampleSet,
         if workers > 1 and len(missing) > 1 and context is not None:
             global _WORKER_SIM
             _WORKER_SIM = simulator
+            simulator.nominal   # computed before the fork, so workers inherit it
             try:
                 with ProcessPoolExecutor(max_workers=workers,
                                          mp_context=context) as pool:

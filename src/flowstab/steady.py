@@ -7,7 +7,9 @@ momentum matrix, as the Picard operator and as the base of the Newton
 Jacobian (which adds the velocity-gradient coupling).  The residual
 computed there is the right-hand side of the correction that leads to
 the next iterate.  The initial iterate is the Stokes solution for the
-same viscosity field.
+same viscosity field, or, when the caller hands in a start state (the
+steady state of a nearby viscosity field), that state, from which only
+Newton steps are taken; a start that fails falls back to the Stokes path.
 
 Dirichlet data enters through lifting: assembled matrices keep full size,
 the reduced system runs on interior velocity DOFs plus all pressure DOFs,
@@ -28,12 +30,14 @@ from scipy.sparse.linalg import splu
 from .assembly import (SpatialField, assemble_convection, assemble_diffusion,
                        assemble_divergence, assemble_forcing,
                        assemble_newton_derivative, assemble_velocity_mass)
-from .errors import ConvergenceError, RankDeficiencyError
+from .errors import ConvergenceError, RankDeficiencyError, SolverError
 from .meshes import Mesh, MixedSpace
 
 
-#: stop once the residual falls below this fraction of the Stokes reference
-_REL_TOL = 1e-8
+#: stop once the residual falls below this fraction of the Stokes reference;
+#: tight enough that a Newton solve from a nearby state lands as close to
+#: the solution as the Stokes -> Picard -> Newton path does
+_REL_TOL = 1e-10
 
 #: abort after this many consecutive residual increases in the Newton phase
 _DIVERGENCE_PATIENCE = 5
@@ -162,8 +166,15 @@ def nonlinear_step(ops: Operators, state: FlowState,
     return FlowState(velocity, state.pressure + delta[iu.size:])
 
 
-def solve_steady(ops: Operators, settings: SolverSettings | None = None) -> SteadyResult:
-    """Hybrid continuation: Stokes start, Picard steps, then Newton.
+def solve_steady(ops: Operators, settings: SolverSettings | None = None,
+                 start: FlowState | None = None) -> SteadyResult:
+    """Steady state for `ops`.
+
+    With a `start` state (which must hold the boundary values of `ops`),
+    the `newton_steps` budget of Newton steps is taken from it.  Without
+    one, or when that attempt raises any :class:`SolverError`, the hybrid
+    continuation runs: Stokes start, Picard steps, then Newton; its result
+    does not depend on `start`.
 
     Raises :class:`ConvergenceError` (with the residual trace attached)
     when the budget is exhausted above tolerance or the Newton phase
@@ -171,11 +182,24 @@ def solve_steady(ops: Operators, settings: SolverSettings | None = None) -> Stea
     """
     settings = settings or SolverSettings()
     rhs = lifted_stokes_rhs(ops)
+    if start is not None:
+        try:
+            return _iterate(ops, rhs, start, "warm",
+                            ["newton"] * settings.newton_steps)
+        except SolverError:
+            pass
+    return _iterate(ops, rhs, solve_stokes(ops, rhs), "stokes",
+                    ["picard"] * settings.picard_steps
+                    + ["newton"] * settings.newton_steps)
+
+
+def _iterate(ops: Operators, rhs: np.ndarray, state: FlowState, kind: str,
+             steps: list) -> SteadyResult:
+    """Corrections from `state` (produced by `kind`), one per entry of
+    `steps`, until the residual meets the target."""
     reference = float(np.linalg.norm(rhs))
     target = _REL_TOL * reference
-    state, kind = solve_stokes(ops, rhs), "stokes"
-    plan = iter(["picard"] * settings.picard_steps
-                + ["newton"] * settings.newton_steps)
+    plan = iter(steps)
     trace, growth = [], 0
     while True:
         picard = picard_operator(ops, state.velocity)

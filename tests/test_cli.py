@@ -415,5 +415,8 @@ def test_spectrum_and_simulator_run_the_one_chain(workdir, monkeypatch):
     assert main(["spectrum", "--config", str(path)]) == 0
     assert hits == {"solve_steady": 1, "rightmost": 1}
     sim = build_simulator(load_config(path), 0.05, use_cache=False)
+    # the one-time nominal solve goes through the chain's steady solve too
+    assert sim.nominal is not None
+    assert hits == {"solve_steady": 2, "rightmost": 1}
     assert not sim.compute(np.zeros(2)).failed
-    assert hits == {"solve_steady": 2, "rightmost": 2}
+    assert hits == {"solve_steady": 3, "rightmost": 2}

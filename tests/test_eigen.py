@@ -176,6 +176,25 @@ def test_factors_the_assembled_jacobian(monkeypatch):
     assert factored[0].nnz == problem.lhs.nnz
 
 
+def test_edge_guard_retry_reuses_the_factorization(monkeypatch):
+    # with k=2 the planted pair sits at the edge of the first window, so a
+    # second window of 2k runs, on the one LU of the Jacobian
+    import flowstab.eigen as eigen
+
+    J, M, truth = planted_pencil(60, 1, rightmost_re=-1.5)
+    problem = EigenProblem(J, M)
+    factored = []
+    original = eigen.splu
+    monkeypatch.setattr(eigen, "splu",
+                        lambda matrix: factored.append(1) or original(matrix))
+    result = rightmost(problem, k=2)
+    assert len(factored) == 1
+    assert result.k == 4
+    # the same value as the 2k window on its own
+    assert result.eigenvalue == rightmost(problem, k=4).eigenvalue
+    assert abs(result.eigenvalue - truth) < 1e-9
+
+
 def test_dense_size_limit():
     J = sparse.eye(450, format="csr")
     with pytest.raises(EigenError):

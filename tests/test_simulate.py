@@ -5,22 +5,27 @@ steady-plus-eigen solve takes milliseconds.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowstab import steady
+from flowstab import simulate, steady
 from flowstab.assembly import SpatialField
+from flowstab.config import build_simulator, load_config
 from flowstab.eigen import build_problem, rightmost
-from flowstab.errors import ConfigError
+from flowstab.errors import ConfigError, ConvergenceError
 from flowstab.meshes import build_space, channel_mesh, obstacle_mesh
 from flowstab.randomfield import kl_decompose
 from flowstab.simulate import (EvalCache, McResult, SampleRecord, SampleSet,
-                               Simulator, family_distribution, monte_carlo)
-from flowstab.steady import build_operators, solve_steady
+                               Simulator, family_distribution, monte_carlo,
+                               stability)
+from flowstab.steady import FlowState, build_operators, solve_steady
 from flowstab.viscosity import build_affine, build_lognormal
 
 NU1 = 0.01
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -341,3 +346,84 @@ def test_eval_cache_rejects_lines_that_are_not_records(tmp_path, line, last):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=r"c\.jsonl, line 2: not a cache record"):
         EvalCache(path, "fp")
+
+
+# -- warm start from the nominal steady state --------------------------------
+
+
+@pytest.mark.parametrize("name,germs", [
+    ("obstacle_desk", [(3.0, 0.0), (-3.0, 3.0), (2.12, 2.12)]),
+    ("step_desk", [(0.95, 0.95), (0.95, -0.95), (-0.95, 0.95), (-0.95, -0.95)]),
+])
+def test_warm_start_stays_on_the_cold_eigenvalue_at_tail_germs(name, germs):
+    # |xi| ~ 3 for the Hermite germs and the corners of the Legendre box:
+    # the samples furthest from the nominal state the warm start begins at
+    sim = build_simulator(load_config(CONFIGS / f"{name}.yaml"), 0.10,
+                          use_cache=False)
+    for xi in germs:
+        viscosity = sim.model.evaluate(np.array(xi))
+        warm_steady, warm = sim.solve(viscosity)
+        # no start: the cold Stokes -> Picard -> Newton path
+        cold_steady, cold = stability(sim.mesh, sim.space, viscosity,
+                                      sim.settings, sim.k, sim.seed)
+        assert warm_steady.trace[0]["kind"] == "warm", xi
+        assert len(warm_steady.trace) < len(cold_steady.trace), xi
+        assert abs(warm.eigenvalue - cold.eigenvalue) <= 1e-9, xi
+
+
+@pytest.mark.parametrize("spoil", ["nan", "far"])
+def test_failed_warm_start_gives_the_cold_record(toy, spoil):
+    sim = make_sim(toy)
+    nominal = sim.nominal
+    if spoil == "nan":
+        sim.nominal = FlowState(np.full_like(nominal.velocity, np.nan),
+                                nominal.pressure)
+    else:
+        velocity = nominal.velocity.copy()
+        velocity[sim.space.interior] *= 10.0
+        sim.nominal = FlowState(velocity, nominal.pressure)
+    cold = make_sim(toy)
+    cold.nominal = None
+    xi = [0.3, -0.4]
+    steady_result = sim.solve(sim.model.evaluate(np.array(xi)))[0]
+    assert steady_result.trace[0]["kind"] == "stokes"
+    assert sim.compute(xi) == cold.compute(xi)
+
+
+def test_failed_nominal_leaves_every_sample_cold(toy, monkeypatch):
+    sim = make_sim(toy)
+    original = simulate.solve_steady
+    starts = []
+
+    def nominal_fails(ops, settings=None, start=None):
+        starts.append(start)
+        if len(starts) == 1:
+            raise ConvergenceError("nominal solve failed", [])
+        return original(ops, settings, start)
+
+    monkeypatch.setattr(simulate, "solve_steady", nominal_fails)
+    samples = SampleSet.draw(3, 2, "uniform", seed=6)
+    result = monte_carlo(sim, samples)
+    assert sim.nominal is None
+    assert starts == [None] * 4
+    assert result.n_failed == 0
+
+
+def test_all_cached_monte_carlo_never_solves(toy, tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    sim = make_sim(toy)
+    sim.attach_cache(path)
+    samples = SampleSet.draw(3, 2, "uniform", seed=9)
+    first = monte_carlo(sim, samples, workers=2)
+    # the parent computed the nominal before the pool forked
+    assert sim.__dict__["nominal"] is not None
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_steady called on an all-cached run")
+
+    monkeypatch.setattr(simulate, "solve_steady", no_solve)
+    fresh = make_sim(toy)
+    fresh.attach_cache(path)
+    for workers in (1, 2):
+        assert monte_carlo(fresh, samples, workers=workers).records == first.records
+    assert "nominal" not in fresh.__dict__

@@ -120,6 +120,8 @@ def test_one_convection_assembly_per_iterate(monkeypatch):
 
     sim = build_simulator(load_config(CONFIG_DIR / "obstacle_desk.yaml"), 0.1,
                           use_cache=False)
+    # the one-time nominal solve is its own steady solve; count the sample's
+    assert sim.nominal is not None
     calls.clear()
     result, _ = sim.solve(sim.model.evaluate(np.array([0.3, -0.5])))
     assert len(calls) == len(result.trace)
