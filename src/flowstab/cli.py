@@ -155,6 +155,9 @@ def _parse_xi(text: str | None, dim: int) -> np.ndarray:
 def _resolve_workers(args) -> int:
     if args.workers is not None:
         return max(1, args.workers)
+    # the CPUs this process may run on, which taskset or a cpuset may limit
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -163,6 +166,9 @@ def cmd_solve(args) -> int:
     cov = config.covs[0]
     xi = _parse_xi(args.xi, config.m)
     sim = build_simulator(config, cov, use_cache=False)
+    if not xi.any():
+        # at xi = 0 the nominal solve is this sample's solve: run it once, cold
+        sim.nominal = None
 
     config.outdir.mkdir(parents=True, exist_ok=True)
     visc = sim.model.evaluate(xi)

@@ -10,9 +10,11 @@ cache written under one setup can never leak into another.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import multiprocessing
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -32,12 +34,41 @@ from .viscosity import ViscosityModel
 
 DISTRIBUTIONS = ("normal", "uniform")
 
+
+def _one_blas_thread() -> None:
+    """Run every OpenBLAS loaded in this process on one thread.
+
+    The fork pool of :func:`monte_carlo` is the only parallelism: BLAS
+    threads would spin beside SuperLU and ARPACK on the cores the workers
+    need, and their split of a reduction moves results by an ulp.  Forked
+    workers inherit the setting.  Does nothing without ``/proc/self/maps``.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = set(re.findall(r"/\S*openblas\S*\.so\S*", fh.read()))
+    except OSError:
+        return
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_set_num_threads64_",
+                       "scipy_openblas_set_num_threads",
+                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+_one_blas_thread()
+
 #: version of the stability chain, hashed into the simulator fingerprint;
 #: every change that moves results (selection rule, warm start, tolerances)
 #: bumps it, so cache records and surrogates of an older chain are redone.
 #: 1: of a complex pair, the member with positive imaginary part
 #: 2: Newton from the nominal steady state, steady tolerance 1e-10, ARPACK tol 1e-8
-ALGORITHM = 2
+#: 3: OpenBLAS on one thread, so results do not depend on the core count
+ALGORITHM = 3
 
 #: basis family -> sampling distribution of the germ
 FAMILY_DISTRIBUTION = {"hermite": "normal", "legendre": "uniform"}

@@ -4,6 +4,7 @@ Runs everything in-process through ``main(argv)`` on a coarse obstacle
 setup small enough that a full train/assess cycle stays in seconds.
 """
 
+import argparse
 import csv
 import json
 import re
@@ -13,8 +14,10 @@ import pytest
 import yaml
 
 from conftest import CONFIGS
-from flowstab.cli import main, surrogate_path
-from flowstab.config import load_config
+from flowstab import simulate
+from flowstab.cli import _resolve_workers, main, surrogate_path
+from flowstab.config import build_simulator, load_config
+from flowstab.errors import ConvergenceError
 
 pytestmark = pytest.mark.slow
 
@@ -136,15 +139,49 @@ def test_mesh_and_mode_ranges_exit_2(workdir, capsys, name, section, values,
     assert re.search(match, capsys.readouterr().err)
 
 
-def test_nonconvergence_exit_3_with_trace(workdir, capsys):
+def test_nonconvergence_exit_3_with_trace(workdir, capsys, monkeypatch):
     # viscosity three orders too small: the steady iteration cannot settle
     path = write_config(workdir / "hard.yaml",
                         viscosity={"nu1": 5.0e-6, "covs": [0.01], "m": 2},
                         solver={"picard_steps": 2, "newton_steps": 2},
                         paths={"outdir": "out_hard", "cache": None})
+    original = simulate.solve_steady
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "solve_steady", counted)
     assert main(["solve", "--config", str(path)]) == 3
+    # at xi = 0 the nominal solve is the sample's solve: it runs once
+    assert len(calls) == 1
     trace = json.loads((workdir / "out_hard" / "solve_trace.json").read_text())
     assert trace["trace"], "residual history should be recorded"
+    # the trace is the cold chain's
+    monkeypatch.setattr(simulate, "solve_steady", original)
+    sim = build_simulator(load_config(path), 0.01, use_cache=False)
+    with pytest.raises(ConvergenceError) as failure:
+        simulate.stability(sim.mesh, sim.space,
+                           sim.model.evaluate(np.zeros(2)), sim.settings,
+                           sim.k, sim.seed)
+    assert trace["error"] == str(failure.value)
+    assert trace["trace"] == json.loads(json.dumps(failure.value.trace))
+
+
+@pytest.mark.parametrize("affinity, expected", [({0}, 1), (None, 2)])
+def test_default_workers_count_the_cpus_this_process_may_use(
+        monkeypatch, affinity, expected):
+    # as under taskset -c 0 on a 2-CPU host: the affinity set counts, and
+    # os.cpu_count() only where os.sched_getaffinity does not exist
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    if affinity is None:
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: affinity,
+                            raising=False)
+    assert _resolve_workers(argparse.Namespace(workers=None)) == expected
+    assert _resolve_workers(argparse.Namespace(workers=3)) == 3
 
 
 def test_train_writes_surrogates(config_path, workdir, capsys):

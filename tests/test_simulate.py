@@ -5,6 +5,9 @@ steady-plus-eigen solve takes milliseconds.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -427,3 +430,78 @@ def test_all_cached_monte_carlo_never_solves(toy, tmp_path, monkeypatch):
     for workers in (1, 2):
         assert monte_carlo(fresh, samples, workers=workers).records == first.records
     assert "nominal" not in fresh.__dict__
+
+
+# -- one BLAS thread per process ---------------------------------------------
+
+# numpy and scipy load their OpenBLAS before flowstab is imported, as in a
+# program that uses them first; the pin must still reach both libraries
+BLAS_PROBE = r"""
+import ctypes, json, multiprocessing, re
+from concurrent.futures import ProcessPoolExecutor
+import numpy, scipy.linalg, scipy.sparse.linalg
+import flowstab
+
+def threads():
+    with open("/proc/self/maps") as fh:
+        libs = set(re.findall(r"/\S*openblas\S*\.so\S*", fh.read()))
+    found = {}
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(handle, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                found[lib] = getter()
+                break
+    return found
+
+if __name__ == "__main__":
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        worker = pool.submit(threads).result()
+    print(json.dumps({"parent": threads(), "worker": worker}))
+"""
+
+RECORD_PROBE = r"""
+import json
+from flowstab import SampleSet, build_simulator, load_config, monte_carlo
+sim = build_simulator(load_config({config!r}), 0.10, use_cache=False)
+result = monte_carlo(sim, SampleSet([[0.036, 0.441]], 0, "uniform"))
+print(json.dumps(result.records[0].to_dict()))
+"""
+
+
+def run_python(code, **env) -> str:
+    """stdout of `code` run by a fresh interpreter, with `env` added to
+    the environment and flowstab importable."""
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(simulate.__file__).parent.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(),
+                    reason="loaded libraries are listed in /proc/self/maps")
+def test_importing_flowstab_runs_openblas_on_one_thread():
+    found = json.loads(run_python(BLAS_PROBE))
+    if not found["parent"]:
+        pytest.skip("numpy and scipy load no OpenBLAS here")
+    assert set(found["parent"].values()) == {1}, found
+    # a forked pool worker inherits the setting
+    assert found["worker"] == found["parent"]
+
+
+def test_records_do_not_depend_on_blas_threads():
+    # the step germ whose record moved by an ulp with two BLAS threads
+    code = RECORD_PROBE.format(config=str(CONFIGS / "step_desk.yaml"))
+    one = run_python(code, OPENBLAS_NUM_THREADS="1")
+    two = run_python(code, OPENBLAS_NUM_THREADS="2")
+    assert json.loads(one)["failed"] is False
+    # repr of a float round-trips, so equal text is equal bits
+    assert one == two
