@@ -32,8 +32,8 @@ from .errors import (ConfigError, ConvergenceError, EigenError,
 from .metrics import Report, build_report, metrics_csv
 from .quadrature import smolyak
 from .simulate import SampleSet, Simulator, monte_carlo, read_cache, stability
-from .surrogates import (TrainingSet, gp_train, load_surrogate, nn_train,
-                         save_surrogate, sc_train)
+from .surrogates import (MIN_DESIGN, TrainingSet, gp_train, load_surrogate,
+                         nn_train, save_surrogate, sc_train)
 
 
 def surrogate_path(config: ExperimentConfig, name: str, cov: float) -> Path:
@@ -54,8 +54,16 @@ def train_surrogates(config: ExperimentConfig, sim: Simulator,
 
     The collocation surrogate always uses the full grid (its weights are
     tied to the nodes); the regression models honour the subsample stride.
+    A stride that leaves a model too few design points is a configuration
+    error, raised before any design solve.
     """
     grid, samples = design_samples(config)
+    n_design = len(range(0, samples.n, config.stride))
+    for name in config.models:
+        if n_design < MIN_DESIGN.get(name, 0):
+            raise ConfigError(
+                f"surrogates.stride = {config.stride} leaves {n_design} of "
+                f"{samples.n} design nodes; {name} needs {MIN_DESIGN[name]}")
     result = monte_carlo(sim, samples, workers=workers)
     if result.n_failed:
         bad = [i for i, r in enumerate(result.records) if r.failed]
@@ -67,17 +75,17 @@ def train_surrogates(config: ExperimentConfig, sim: Simulator,
     surrogates: dict[str, object] = {}
     provenance = surrogate_provenance(config, sim)
     config.outdir.mkdir(parents=True, exist_ok=True)
+    if set(config.models) & set(MIN_DESIGN):
+        design = TrainingSet.from_samples(
+            samples.xi, result.lam_re).subsample(config.stride)
     for name in config.models:
         start = time.perf_counter()
         if name == "sc":
             fitted = sc_train(grid, result.lam_re, config.p)
+        elif name == "gp":
+            fitted = gp_train(design)
         else:
-            design = TrainingSet.from_samples(samples.xi, result.lam_re)
-            design = design.subsample(config.stride)
-            if name == "gp":
-                fitted = gp_train(design)
-            else:
-                fitted = nn_train(design, seed=config.nn_seed)
+            fitted = nn_train(design, seed=config.nn_seed)
         elapsed = time.perf_counter() - start
         print(f"[train] {name} ({cov_tag(cov)}): {elapsed:.2f} s")
         surrogates[name] = fitted

@@ -103,7 +103,9 @@ def _section(data: dict, name: str, allowed: dict) -> dict:
     for key, (types, default) in allowed.items():
         if key in raw:
             value = raw[key]
-            if types is not None and not isinstance(value, types):
+            # YAML reads yes/on/true as booleans, which are ints to Python
+            if types is not None and (isinstance(value, bool)
+                                      or not isinstance(value, types)):
                 raise ConfigError(
                     f"{name}.{key} has the wrong type "
                     f"({type(value).__name__})")
@@ -200,7 +202,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
     })
     if eigen["seed"] is _REQUIRED:
         raise ConfigError("eigen.seed is required (all seeds are explicit)")
-    _at_least("eigen", eigen, {"k": 1})
+    _at_least("eigen", eigen, {"k": 1, "seed": 0})
 
     sur = _section(data, "surrogates", {
         "models": ((list, tuple), list(SURROGATE_NAMES)),
@@ -217,7 +219,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
         if "nn" in models:
             raise ConfigError("surrogates.nn_seed is required")
         sur["nn_seed"] = 0
-    _at_least("surrogates", sur, {"stride": 1})
+    _at_least("surrogates", sur, {"stride": 1, "nn_seed": 0})
 
     assess = _section(data, "assess", {
         "n_mc": ((int,), _REQUIRED),
@@ -226,7 +228,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
     for key in ("n_mc", "sample_seed"):
         if assess[key] is _REQUIRED:
             raise ConfigError(f"assess.{key} is required")
-    _at_least("assess", assess, {"n_mc": 1})
+    _at_least("assess", assess, {"n_mc": 1, "sample_seed": 0})
 
     paths = _section(data, "paths", {
         "outdir": ((str,), "out"),

@@ -184,29 +184,22 @@ def build_report(mc_values, surrogate_values: dict, *, label: str = "",
     mc_values = np.asarray(mc_values, dtype=float).ravel()
     if mc_values.size == 0:
         raise ConfigError("report needs at least one successful sample")
-    columns: dict[str, dict] = {}
-    mu, sigma = moments(mc_values)
-    columns["mc"] = {"mu": mu, "sigma": sigma, "pr": prob_nonneg(mc_values)}
-
-    lo, hi = float(mc_values.min()), float(mc_values.max())
     series = {"mc": mc_values}
     for name, values in surrogate_values.items():
-        values = np.asarray(values, dtype=float).ravel()
-        if values.shape != mc_values.shape:
+        series[name] = np.asarray(values, dtype=float).ravel()
+        if series[name].shape != mc_values.shape:
             raise ConfigError(
-                f"surrogate column {name!r} has {values.size} values, "
+                f"surrogate column {name!r} has {series[name].size} values, "
                 f"expected {mc_values.size}")
+    columns: dict[str, dict] = {}
+    for name, values in series.items():
         mu, sigma = moments(values)
-        columns[name] = {
-            "rmse": rmse(values, mc_values),
-            "mu": mu,
-            "sigma": sigma,
-            "pr": prob_nonneg(values),
-        }
-        series[name] = values
-        lo = min(lo, float(values.min()))
-        hi = max(hi, float(values.max()))
+        columns[name] = {"mu": mu, "sigma": sigma, "pr": prob_nonneg(values)}
+        if name != "mc":
+            columns[name]["rmse"] = rmse(values, mc_values)
 
+    lo = min(float(values.min()) for values in series.values())
+    hi = max(float(values.max()) for values in series.values())
     pad = _KDE_PAD * silverman_bandwidth(mc_values)
     abscissae = np.linspace(lo - pad, hi + pad, _KDE_POINTS)
     curves = {name: kde(vals, abscissae) for name, vals in series.items()}

@@ -12,15 +12,16 @@ set before fitting, predictions are mapped back afterwards.
 * shallow network: one tanh layer of 20 units trained by
   Levenberg-Marquardt with evidence-based (Bayesian) regularization.
 
-Surrogates are immutable after training and evaluation is pure, so
-instances can be shared freely across worker processes.
+Each surrogate is a frozen dataclass of plain data (arrays, numbers and
+its target scaler) and evaluation is pure, so instances can be shared
+freely across worker processes; a surrogate file holds each of its fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,9 @@ _MU_MAX = 1e10
 _GRAD_TOL = 1e-7
 _MAX_ITERS = 1000
 _HYPER_CAP = 1e10     # keeps alpha/beta finite when a fit becomes exact
+
+#: fewest design points each regression model trains on
+MIN_DESIGN = {"gp": 2, "nn": 4}
 
 
 @dataclass(frozen=True)
@@ -158,10 +162,7 @@ class GpSurrogate:
     mu_hat: float             # scaled units
     sigma_f2: float           # residual quadratic form, scaled units
     alpha: np.ndarray         # C_d^{-1} (y - mu_hat)
-    cinv_h: np.ndarray        # C_d^{-1} 1
-    hch: float                # 1^T C_d^{-1} 1
-    cho: np.ndarray = field(repr=False)
-    jitter: float = 0.0
+    jitter: float             # diagonal nudge that made C_d factorable
 
     @property
     def n(self) -> int:
@@ -169,8 +170,7 @@ class GpSurrogate:
 
     def _cross(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d2 = np.sum((pts[:, None, :] - self.inputs[None, :, :]) ** 2, axis=2)
-        return np.exp(-0.5 * d2 / self.sigma_l)
+        return _kernel(_sq_dists(pts, self.inputs), self.sigma_l)
 
     def evaluate(self, points) -> np.ndarray:
         return self.scaler.descale(self.mu_hat + self._cross(points) @ self.alpha)
@@ -181,12 +181,25 @@ class GpSurrogate:
         if dof <= 0:
             raise TrainingError(
                 f"posterior variance needs at least 4 design points, have {self.n}")
+        cho = linalg.cholesky(
+            self._cross(self.inputs) + self.jitter * np.eye(self.n), lower=True)
+        cinv_h = linalg.cho_solve((cho, True), np.ones(self.n))
         r = self._cross(points)
-        ctr = linalg.cho_solve((self.cho, True), r.T)
-        q = 1.0 - r @ self.cinv_h
-        raw = 1.0 - np.sum(r * ctr.T, axis=1) + q**2 / self.hch
+        ctr = linalg.cho_solve((cho, True), r.T)
+        q = 1.0 - r @ cinv_h
+        raw = 1.0 - np.sum(r * ctr.T, axis=1) + q**2 / float(cinv_h.sum())
         out = self.sigma_f2 / dof * np.maximum(raw, 0.0)
         return out * self.scaler.factor**2
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between every row of `a` and every row of `b`."""
+    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+
+
+def _kernel(d2: np.ndarray, sigma_l: float) -> np.ndarray:
+    """Squared exponential correlation of squared distances."""
+    return np.exp(-0.5 * d2 / sigma_l)
 
 
 def _chol_jittered(c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -203,20 +216,20 @@ def _chol_jittered(c: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _gp_profile(d2: np.ndarray, y: np.ndarray, log_sl: float):
-    """Profiled log-likelihood pieces for one correlation length."""
+    """Profiled log-likelihood and the fit (jitter, mu, quad, alpha) at
+    one correlation length."""
     n = y.size
-    c = np.exp(-0.5 * d2 / math.exp(log_sl))
-    cho, jitter = _chol_jittered(c)
+    cho, jitter = _chol_jittered(_kernel(d2, math.exp(log_sl)))
     w = linalg.cho_solve((cho, True), y)
     v = linalg.cho_solve((cho, True), np.ones(n))
     hch = float(v.sum())
     mu = float(y @ v) / hch
-    resid = y - mu
-    quad = float(resid @ (w - mu * v))
+    alpha = w - mu * v
+    quad = float((y - mu) @ alpha)
     logdet = 2.0 * float(np.sum(np.log(np.diag(cho))))
     ll = -0.5 * (n - 1) * math.log(max(quad, 1e-300)) \
         - 0.5 * logdet - 0.5 * math.log(hch)
-    return ll, (cho, jitter, v, hch, mu, resid, quad, w)
+    return ll, (jitter, mu, quad, alpha)
 
 
 def gp_train(design: TrainingSet, sigma_l: float | None = None) -> GpSurrogate:
@@ -226,8 +239,10 @@ def gp_train(design: TrainingSet, sigma_l: float | None = None) -> GpSurrogate:
     the three best local peaks are refined by golden-section; a supplied
     ``sigma_l`` skips the search (useful for closed-form checks).
     """
+    if design.n < MIN_DESIGN["gp"]:
+        raise TrainingError(f"kriging needs {MIN_DESIGN['gp']} design points")
     x = design.inputs
-    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+    d2 = _sq_dists(x, x)
     if np.min(d2 + np.eye(design.n)) <= 0.0:
         raise TrainingError("design points must be pairwise distinct")
     y = design.scaled_targets
@@ -237,10 +252,9 @@ def gp_train(design: TrainingSet, sigma_l: float | None = None) -> GpSurrogate:
             sigma_l = 1.0   # constant targets: any length reproduces them
         else:
             sigma_l = math.exp(_optimize_length(d2, y))
-    ll, (cho, jitter, v, hch, mu, resid, quad, w) = \
-        _gp_profile(d2, y, math.log(sigma_l))
-    return GpSurrogate(x, design.scaler, float(sigma_l), mu, quad,
-                       w - mu * v, v, hch, cho, jitter)
+    jitter, mu, quad, alpha = _gp_profile(d2, y, math.log(sigma_l))[1]
+    return GpSurrogate(x, design.scaler, float(sigma_l), mu, quad, alpha,
+                       jitter)
 
 
 def _optimize_length(d2: np.ndarray, y: np.ndarray) -> float:
@@ -291,14 +305,23 @@ class NnSurrogate:
     seed: int
     info: dict = field(default_factory=dict, repr=False)
 
-    def _map_inputs(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        span = np.where(self.in_hi > self.in_lo, self.in_hi - self.in_lo, 1.0)
-        return 2.0 * (pts - self.in_lo) / span - 1.0
-
     def evaluate(self, points) -> np.ndarray:
-        h = np.tanh(self._map_inputs(points) @ self.w1.T + self.b1)
-        return self.scaler.descale(h @ self.w2 + self.b2)
+        x = _unit_box(points, self.in_lo, self.in_hi)
+        return self.scaler.descale(
+            _nn_forward(self.w1, self.b1, self.w2, self.b2, x)[0])
+
+
+def _unit_box(points, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Map the box [lo, hi] onto [-1, 1] per input; a flat input only shifts."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    span = np.where(hi > lo, hi - lo, 1.0)
+    return 2.0 * (pts - lo) / span - 1.0
+
+
+def _nn_forward(w1, b1, w2, b2, x: np.ndarray):
+    """Network output and hidden activations at mapped inputs `x`."""
+    h = np.tanh(x @ w1.T + b1)
+    return h @ w2 + b2, h
 
 
 def _nn_init(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -318,12 +341,6 @@ def _nn_unpack(theta: np.ndarray, m: int):
     b1 = theta[k:k + _HIDDEN]
     w2 = theta[k + _HIDDEN:k + 2 * _HIDDEN]
     return w1, b1, w2, theta[-1]
-
-
-def _nn_forward(theta: np.ndarray, x: np.ndarray):
-    w1, b1, w2, b2 = _nn_unpack(theta, x.shape[1])
-    h = np.tanh(x @ w1.T + b1)
-    return h @ w2 + b2, h
 
 
 def _nn_jacobian(theta: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -353,13 +370,13 @@ def nn_train(design: TrainingSet, seed: int = 0) -> NnSurrogate:
     after every accepted step.  Validation and test errors are recorded
     for the returned network but never gate the iteration.
     """
-    if design.n < 4:
-        raise TrainingError("network training needs at least 4 samples")
+    if design.n < MIN_DESIGN["nn"]:
+        raise TrainingError(
+            f"network training needs at least {MIN_DESIGN['nn']} samples")
     rng = np.random.default_rng(seed)
     lo = design.inputs.min(axis=0)
     hi = design.inputs.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    x_all = 2.0 * (design.inputs - lo) / span - 1.0
+    x_all = _unit_box(design.inputs, lo, hi)
     y_all = design.scaled_targets
     idx_train, idx_val, idx_test = _split_indices(rng, design.n)
     x, y = x_all[idx_train], y_all[idx_train]
@@ -369,7 +386,7 @@ def nn_train(design: TrainingSet, seed: int = 0) -> NnSurrogate:
     n_par = theta.size
     alpha, beta = 0.0, 1.0
     mu = _MU0
-    out, h = _nn_forward(theta, x)
+    out, h = _nn_forward(*_nn_unpack(theta, m), x)
     resid = out - y
     e_data = float(resid @ resid)
     e_weight = float(theta @ theta)
@@ -395,7 +412,7 @@ def nn_train(design: TrainingSet, seed: int = 0) -> NnSurrogate:
                 mu *= _MU_INC
                 continue
             trial = theta + step
-            t_out, t_h = _nn_forward(trial, x)
+            t_out, t_h = _nn_forward(*_nn_unpack(trial, m), x)
             t_resid = t_out - y
             t_ed = float(t_resid @ t_resid)
             t_ew = float(trial @ trial)
@@ -428,7 +445,7 @@ def nn_train(design: TrainingSet, seed: int = 0) -> NnSurrogate:
     def split_mse(idx):
         if idx.size == 0:
             return None
-        pred, _ = _nn_forward(best_theta, x_all[idx])
+        pred, _ = _nn_forward(w1, b1, w2, b2, x_all[idx])
         return float(np.mean((pred - y_all[idx]) ** 2))
 
     info = {
@@ -449,46 +466,31 @@ def nn_train(design: TrainingSet, seed: int = 0) -> NnSurrogate:
 
 _FORMAT = "flowstab-surrogate"
 _VERSION = 1
+_KINDS = {"sc": ScSurrogate, "gp": GpSurrogate, "nn": NnSurrogate}
 
 
 def save_surrogate(surrogate, path, provenance: dict | None = None) -> None:
-    """Write a surrogate as a versioned JSON document."""
-    doc = {"format": _FORMAT, "version": _VERSION,
-           "provenance": provenance or {}}
-    if isinstance(surrogate, ScSurrogate):
-        doc["kind"] = "sc"
-        doc["params"] = {
-            "family": surrogate.basis.family,
-            "dim": surrogate.basis.dim,
-            "degree": surrogate.basis.degree,
-            "coeffs": surrogate.coeffs.tolist(),
-        }
-    elif isinstance(surrogate, GpSurrogate):
-        doc["kind"] = "gp"
-        doc["scaler"] = [surrogate.scaler.mu, surrogate.scaler.sigma]
-        doc["params"] = {
-            "inputs": surrogate.inputs.tolist(),
-            "sigma_l": surrogate.sigma_l,
-            "mu_hat": surrogate.mu_hat,
-            "sigma_f2": surrogate.sigma_f2,
-            "alpha": surrogate.alpha.tolist(),
-            "jitter": surrogate.jitter,
-        }
-    elif isinstance(surrogate, NnSurrogate):
-        doc["kind"] = "nn"
-        doc["scaler"] = [surrogate.scaler.mu, surrogate.scaler.sigma]
-        doc["params"] = {
-            "w1": surrogate.w1.tolist(),
-            "b1": surrogate.b1.tolist(),
-            "w2": surrogate.w2.tolist(),
-            "b2": surrogate.b2,
-            "in_lo": surrogate.in_lo.tolist(),
-            "in_hi": surrogate.in_hi.tolist(),
-            "seed": surrogate.seed,
-            "info": surrogate.info,
-        }
-    else:
+    """Write a surrogate as a versioned JSON document.
+
+    Every dataclass field goes into ``params``, arrays as nested lists,
+    except the target scaler (top-level ``scaler``: ``[mu, sigma]``) and a
+    chaos basis (``family``, ``dim``, ``degree``).
+    """
+    kinds = [kind for kind, cls in _KINDS.items() if type(surrogate) is cls]
+    if not kinds:
         raise TypeError(f"cannot serialize {type(surrogate).__name__}")
+    doc = {"format": _FORMAT, "version": _VERSION, "kind": kinds[0],
+           "provenance": provenance or {}, "params": {}}
+    for f in fields(surrogate):
+        value = getattr(surrogate, f.name)
+        if isinstance(value, Scaler):
+            doc["scaler"] = [value.mu, value.sigma]
+        elif isinstance(value, GpcBasis):
+            doc["params"].update(family=value.family, dim=value.dim,
+                                 degree=value.degree)
+        else:
+            doc["params"][f.name] = (value.tolist()
+                                     if isinstance(value, np.ndarray) else value)
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
@@ -506,35 +508,27 @@ def load_surrogate(path):
             or doc.get("version") != _VERSION):
         raise ConfigError(f"unrecognized surrogate document in {path}")
     kind = doc.get("kind")
-    if kind not in ("sc", "gp", "nn"):
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"unknown surrogate kind {kind!r} in {path}")
     try:
-        return _rebuild(kind, doc)
+        return _rebuild(_KINDS[kind], doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {kind} surrogate in {path}: {exc!r}")
 
 
-def _rebuild(kind: str, doc: dict):
+def _rebuild(cls, doc: dict):
+    """The fields of `cls` as `save_surrogate` wrote them; lists load as
+    arrays, and params that are not fields (the ``imag_coeffs`` of older
+    collocation files) are ignored."""
     params = doc["params"]
-    if kind == "sc":
-        basis = GpcBasis.total_degree(params["family"], params["dim"],
-                                      params["degree"])
-        # files written before the imaginary channel was dropped still hold
-        # an "imag_coeffs" entry; it is ignored
-        return ScSurrogate(basis, np.array(params["coeffs"]))
-    scaler = Scaler(*doc["scaler"])
-    if kind == "gp":
-        inputs = np.array(params["inputs"])
-        alpha = np.array(params["alpha"])
-        d2 = np.sum((inputs[:, None, :] - inputs[None, :, :]) ** 2, axis=2)
-        c = np.exp(-0.5 * d2 / params["sigma_l"])
-        cho = linalg.cholesky(c + params["jitter"] * np.eye(len(inputs)),
-                              lower=True)
-        v = linalg.cho_solve((cho, True), np.ones(len(inputs)))
-        return GpSurrogate(inputs, scaler, params["sigma_l"],
-                           params["mu_hat"], params["sigma_f2"], alpha,
-                           v, float(v.sum()), cho, params["jitter"])
-    return NnSurrogate(np.array(params["w1"]), np.array(params["b1"]),
-                       np.array(params["w2"]), params["b2"],
-                       np.array(params["in_lo"]), np.array(params["in_hi"]),
-                       scaler, params["seed"], params["info"])
+    values = {}
+    for f in fields(cls):
+        if f.type == "Scaler":
+            values[f.name] = Scaler(*doc["scaler"])
+        elif f.type == "GpcBasis":
+            values[f.name] = GpcBasis.total_degree(
+                params["family"], params["dim"], params["degree"])
+        else:
+            value = params[f.name]
+            values[f.name] = np.array(value) if isinstance(value, list) else value
+    return cls(**values)

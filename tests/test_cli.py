@@ -126,11 +126,25 @@ def test_invalid_config_exit_2(workdir):
      r"mesh\.length = 1e\+308,.*finite cell count"),
     ("step_desk", "mesh", {"length": 1.0e+308},
      r"mesh\.length = 1e\+308,.*finite cell count"),
+    ("obstacle_desk", "eigen", {"seed": -1}, r"eigen\.seed must be >= 0"),
+    ("obstacle_desk", "eigen", {"k": True}, r"eigen\.k has the wrong type"),
+    ("obstacle_desk", "surrogates", {"models": ["gp"], "stride": 30},
+     r"stride = 30 leaves 1 of 29 design nodes; gp needs 2"),
+    ("obstacle_desk", "surrogates", {"models": ["nn"], "stride": 10},
+     r"stride = 10 leaves 3 of 29 design nodes; nn needs 4"),
 ], ids=["refine-0", "length-neg", "stretch-0", "length-nan", "m-500",
-        "step-length-neg", "length-huge", "step-length-huge"])
-def test_mesh_and_mode_ranges_exit_2(workdir, capsys, name, section, values,
-                                     match):
-    # caught before any solve, whether by the schema or by the builders
+        "step-length-neg", "length-huge", "step-length-huge", "seed-neg",
+        "k-bool", "stride-gp", "stride-nn"])
+def test_mesh_and_mode_ranges_exit_2(workdir, capsys, monkeypatch, name,
+                                     section, values, match):
+    # caught before any solve, whether by the schema, by the builders or
+    # by the design-size check of `train`
+    import flowstab.cli as cli
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the simulator ran before the check")
+
+    monkeypatch.setattr(cli, "monte_carlo", solve)
     data = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
     data[section].update(values)
     path = workdir / f"range_{name}.yaml"

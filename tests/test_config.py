@@ -116,6 +116,13 @@ def test_type_and_value_errors():
         config_from_dict(minimal(surrogates={"models": ["svm"], "nn_seed": 0}))
     with pytest.raises(ConfigError, match="mapping"):
         config_from_dict(minimal(solver=[1, 2]))
+    # YAML 1.1 reads yes/on as booleans, which Python counts as integers
+    with pytest.raises(ConfigError, match=r"eigen\.seed has the wrong type"):
+        config_from_dict(minimal(eigen={"seed": True}))
+    with pytest.raises(ConfigError, match=r"eigen\.k has the wrong type"):
+        config_from_dict(minimal(eigen={"seed": 0, "k": True}))
+    with pytest.raises(ConfigError, match=r"viscosity\.m has the wrong type"):
+        config_from_dict(minimal(viscosity={"covs": [0.1], "m": False}))
     with pytest.raises(ConfigError, match="not found"):
         load_config(CONFIG_DIR / "nonexistent.yaml")
 
@@ -137,9 +144,12 @@ _NAN, _INF = float("nan"), float("inf")
     ("solver", {"picard_steps": -1}, r"solver\.picard_steps must be >= 0"),
     ("solver", {"newton_steps": -1}, r"solver\.newton_steps must be >= 0"),
     ("surrogates", {"models": [["sc"]]}, "models must list names"),
+    ("eigen", {"seed": -1}, r"eigen\.seed must be >= 0"),
+    ("assess", {"sample_seed": -1}, r"assess\.sample_seed must be >= 0"),
+    ("surrogates", {"nn_seed": -1}, r"surrogates\.nn_seed must be >= 0"),
 ], ids=["covs-str", "covs-nan", "covs-inf", "nu1-neg", "nu1-nan", "m-0",
         "p-neg", "level-0", "k-0", "k-neg", "picard-neg", "newton-neg",
-        "models-nested"])
+        "models-nested", "eigen-seed-neg", "sample-seed-neg", "nn-seed-neg"])
 def test_out_of_range_values_rejected(section, values, match):
     # out-of-range values are configuration errors (exit 2): not a
     # traceback, not a failure of every sample, and a negative step

@@ -299,8 +299,13 @@ def test_serialization_round_trips(grid29, tmp_path):
         path = tmp_path / f"{tag}.json"
         save_surrogate(s, path, provenance={"note": "round-trip"})
         loaded = load_surrogate(path)
+        assert type(loaded) is type(s)
         np.testing.assert_allclose(loaded.evaluate(pts), s.evaluate(pts),
                                    rtol=1e-12, atol=1e-12)
+        # the file is the surrogate: saving what was loaded writes it again
+        again = tmp_path / f"{tag}_again.json"
+        save_surrogate(loaded, again, provenance={"note": "round-trip"})
+        assert again.read_bytes() == path.read_bytes()
     reloaded = load_surrogate(tmp_path / "gp.json")
     np.testing.assert_allclose(reloaded.variance(pts), gp.variance(pts),
                                rtol=1e-9, atol=1e-12)
