@@ -1,4 +1,4 @@
-"""Sparse matrix assembly for the mixed biquadratic/linear discretization.
+"""Element matrices and the saddle-point pattern they are filled into.
 
 All element integrals use the 3x3 tensor Gauss rule, which is exact for
 every bilinear form appearing here on rectangular cells with constant
@@ -6,13 +6,13 @@ coefficients.  Cells are axis-aligned rectangles, so Jacobians are
 diagonal and reference derivative tables only need per-cell scale factors
 ``2/hx`` and ``2/hy``.
 
-Element loops are expressed as einsum contractions over per-cell tensors
-followed by one duplicate-summing COO scatter; the summation order is
-fixed by the row-major cell ordering, so repeated assembly of the same
-mesh is bitwise reproducible.
+Element kernels contract per-cell tensors and scatter nothing; a saddle
+matrix is one ``np.bincount`` of element matrices into the fixed pattern
+of a :class:`SaddlePlan`.  The summation order is fixed by the row-major
+cell ordering, so repeated assembly is bitwise reproducible.
 
 Conventions: velocity DOFs stack x-components then y-components; the
-divergence matrix has one row per pressure DOF and carries the sign
+divergence has one row per pressure DOF and carries the sign
 ``B[c, d] = -integral( psi_c * div(phi_d) )``, so the saddle system reads
 ``[[F, B^T], [B, 0]]``.
 """
@@ -49,8 +49,8 @@ class QuadData:
     """Reference-element tables and per-cell quadrature geometry.
 
     Quadrature points are tensor ordered like the nodes: ``q = 3*qi + qj``
-    with ``qi`` the x-direction index.  ``phi`` etc. are indexed
-    ``[local_node, point]``.
+    with ``qi`` the x-direction index.  ``phi`` is indexed
+    ``[local_node, point]``, ``dphi`` ``[cell, direction, local_node, point]``.
     """
 
     def __init__(self, mesh: Mesh):
@@ -59,14 +59,16 @@ class QuadData:
         lin = _lagrange1(_GPTS)
         # tensor products, local node a = 3i+j against point q = 3qi+qj
         self.phi = np.einsum("iq,jr->ijqr", ls, ls).reshape(9, 9)
-        self.dphi_ds = np.einsum("iq,jr->ijqr", ld, ls).reshape(9, 9)
-        self.dphi_dt = np.einsum("iq,jr->ijqr", ls, ld).reshape(9, 9)
+        # phi_a * phi_b at each point, [point, 9a + b]
+        self.phi_phi = np.einsum("aq,bq->qab", self.phi, self.phi).reshape(9, 81)
+        dphi_ds = np.einsum("iq,jr->ijqr", ld, ls).reshape(9, 9)
+        dphi_dt = np.einsum("iq,jr->ijqr", ls, ld).reshape(9, 9)
         self.psi_q1 = np.einsum("iq,jr->ijqr", lin, lin).reshape(4, 9)
         wref = np.outer(_GWTS, _GWTS).reshape(9)
 
         hx, hy = mesh.cell_sizes()
-        self.sx = 2.0 / hx                          # (n_cells,)
-        self.sy = 2.0 / hy
+        self.dphi = np.stack([(2.0 / hx)[:, None, None] * dphi_ds,
+                              (2.0 / hy)[:, None, None] * dphi_dt], axis=1)
         self.qw = np.outer(hx * hy / 4.0, wref)     # (n_cells, 9)
         x0 = mesh.xs[mesh.cells[:, 0]]
         y0 = mesh.ys[mesh.cells[:, 1]]
@@ -102,92 +104,52 @@ class SpatialField:
         return float(self.values.min())
 
 
-def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-             shape: tuple[int, int]) -> sparse.csr_matrix:
-    """Sum (n_cells, nr, nc) element blocks into a global sparse matrix."""
-    r = np.broadcast_to(rows[:, :, None], local.shape)
-    c = np.broadcast_to(cols[:, None, :], local.shape)
-    mat = sparse.coo_matrix((local.ravel(), (r.ravel(), c.ravel())), shape=shape)
-    return mat.tocsr()
+def _cell_velocity(mesh: Mesh, velocity: np.ndarray) -> np.ndarray:
+    """Nodal values of both velocity components per cell, (n_cells, 2, 9)."""
+    return velocity.reshape(2, -1)[:, mesh.cell_vnodes].swapaxes(0, 1)
 
 
-def _velocity_at_quadrature(mesh: Mesh, velocity: np.ndarray):
-    """Both velocity components and the scale-ready tables at the points."""
-    qd = quad_data(mesh)
-    nv = mesh.n_vnodes
-    ux = velocity[:nv][mesh.cell_vnodes]      # (n_cells, 9) nodal
-    uy = velocity[nv:][mesh.cell_vnodes]
-    return qd, ux @ qd.phi, uy @ qd.phi       # values at points
-
-
-def assemble_diffusion(mesh: Mesh, viscosity: SpatialField) -> sparse.csr_matrix:
-    """Viscosity-weighted vector Laplacian, ``integral( nu grad u : grad v )``."""
+def assemble_diffusion(mesh: Mesh, viscosity: SpatialField) -> np.ndarray:
+    """Element matrices of ``integral( nu grad u : grad v )``, (n_cells, 9, 9),
+    the same for both velocity components."""
     qd = quad_data(mesh)
     nu = viscosity.values
     if nu.shape != qd.qw.shape:
         raise ValueError("viscosity field does not match the mesh quadrature")
     if not nu.min() > 0.0:
         raise PositivityError(f"viscosity must be positive, min is {nu.min():.3e}")
-    wnu = qd.qw * nu
-    sxx = np.einsum("e,eq,aq,bq->eab", qd.sx**2, wnu, qd.dphi_ds, qd.dphi_ds)
-    syy = np.einsum("e,eq,aq,bq->eab", qd.sy**2, wnu, qd.dphi_dt, qd.dphi_dt)
-    scalar = _scatter(sxx + syy, mesh.cell_vnodes, mesh.cell_vnodes,
-                      (mesh.n_vnodes, mesh.n_vnodes))
-    return sparse.block_diag([scalar, scalar], format="csr")
+    return np.einsum("eq,ekaq,ekbq->eab", qd.qw * nu, qd.dphi, qd.dphi)
 
 
-def assemble_velocity_mass(mesh: Mesh) -> sparse.csr_matrix:
-    """Vector mass matrix of the velocity space."""
+def assemble_velocity_mass(mesh: Mesh) -> np.ndarray:
+    """Element mass matrices, (n_cells, 9, 9), the same for both components."""
     qd = quad_data(mesh)
-    local = np.einsum("eq,aq,bq->eab", qd.qw, qd.phi, qd.phi)
-    scalar = _scatter(local, mesh.cell_vnodes, mesh.cell_vnodes,
-                      (mesh.n_vnodes, mesh.n_vnodes))
-    return sparse.block_diag([scalar, scalar], format="csr")
+    return (qd.qw @ qd.phi_phi).reshape(-1, 9, 9)
 
 
-def assemble_convection(mesh: Mesh, wind: np.ndarray) -> sparse.csr_matrix:
-    """Convection by a given discrete velocity, ``integral( (w . grad u) . v )``.
-
-    `wind` is a full velocity vector; it is interpolated through the
-    biquadratic basis at the quadrature points.
-    """
-    qd, wx, wy = _velocity_at_quadrature(mesh, wind)
-    advect = (wx[:, None, :] * qd.sx[:, None, None] * qd.dphi_ds[None, :, :]
-              + wy[:, None, :] * qd.sy[:, None, None] * qd.dphi_dt[None, :, :])
-    local = np.einsum("eq,aq,ebq->eab", qd.qw, qd.phi, advect)
-    scalar = _scatter(local, mesh.cell_vnodes, mesh.cell_vnodes,
-                      (mesh.n_vnodes, mesh.n_vnodes))
-    return sparse.block_diag([scalar, scalar], format="csr")
-
-
-def assemble_newton_derivative(mesh: Mesh, wind: np.ndarray) -> sparse.csr_matrix:
-    """Reaction-type coupling ``integral( (u . grad w) . v )`` at the state `wind`.
-
-    Produces the full 2x2 block structure with the four velocity-gradient
-    components as weights.
-    """
+def assemble_convection(mesh: Mesh, wind: np.ndarray) -> np.ndarray:
+    """Element matrices of ``integral( (w . grad u) . v )``, (n_cells, 9, 9),
+    the same for both components; `wind` is a full velocity vector,
+    interpolated through the biquadratic basis at the quadrature points."""
     qd = quad_data(mesh)
-    nv = mesh.n_vnodes
-    ux = wind[:nv][mesh.cell_vnodes]
-    uy = wind[nv:][mesh.cell_vnodes]
-    dphix = qd.sx[:, None, None] * qd.dphi_ds[None, :, :]
-    dphiy = qd.sy[:, None, None] * qd.dphi_dt[None, :, :]
-    grads = {
-        "xx": np.einsum("ea,eaq->eq", ux, dphix),
-        "xy": np.einsum("ea,eaq->eq", ux, dphiy),
-        "yx": np.einsum("ea,eaq->eq", uy, dphix),
-        "yy": np.einsum("ea,eaq->eq", uy, dphiy),
-    }
-    blocks = {}
-    for key, g in grads.items():
-        local = np.einsum("eq,aq,bq->eab", qd.qw * g, qd.phi, qd.phi)
-        blocks[key] = _scatter(local, mesh.cell_vnodes, mesh.cell_vnodes, (nv, nv))
-    return sparse.bmat([[blocks["xx"], blocks["xy"]],
-                        [blocks["yx"], blocks["yy"]]], format="csr")
+    w = _cell_velocity(mesh, wind) @ qd.phi
+    advect = (w[:, :, None] * qd.dphi).sum(axis=1)      # [cell, b, point]
+    return (qd.qw[:, None] * qd.phi) @ advect.swapaxes(1, 2)
 
 
-def assemble_divergence(mesh: Mesh, space: MixedSpace) -> sparse.csr_matrix:
-    """Pressure-velocity coupling ``B[c, d] = -integral( psi_c div(phi_d) )``."""
+def assemble_newton_derivative(mesh: Mesh, wind: np.ndarray) -> np.ndarray:
+    """Element matrices of ``integral( (u . grad w) . v )`` at the state
+    `wind`, (n_cells, 2, 2, 9, 9): block ``[c, d]`` is weighted by
+    ``d w_c / d x_d``."""
+    qd = quad_data(mesh)
+    grad = np.einsum("eca,edaq->ecdq", _cell_velocity(mesh, wind), qd.dphi)
+    return (grad * qd.qw[:, None, None] @ qd.phi_phi).reshape(-1, 2, 2, 9, 9)
+
+
+def assemble_divergence(mesh: Mesh, space: MixedSpace) -> np.ndarray:
+    """Element blocks of ``B[c, d] = -integral( psi_c div(phi_d) )``,
+    (n_cells, 2, n_local_p, 9): velocity component, pressure function,
+    velocity node."""
     qd = quad_data(mesh)
     if space.pressure == "q1":
         psi = np.broadcast_to(qd.psi_q1[None, :, :], (mesh.n_cells, 4, 9))
@@ -196,21 +158,79 @@ def assemble_divergence(mesh: Mesh, space: MixedSpace) -> sparse.csr_matrix:
         psi = np.stack([ones,
                         qd.qx - qd.centers[:, 0:1],
                         qd.qy - qd.centers[:, 1:2]], axis=1)
-    dphix = qd.sx[:, None, None] * qd.dphi_ds[None, :, :]
-    dphiy = qd.sy[:, None, None] * qd.dphi_dt[None, :, :]
-    bx = -np.einsum("eq,ecq,edq->ecd", qd.qw, psi, dphix)
-    by = -np.einsum("eq,ecq,edq->ecd", qd.qw, psi, dphiy)
-    shape = (space.n_p, mesh.n_vnodes)
-    return sparse.hstack([
-        _scatter(bx, space.cell_pdofs, mesh.cell_vnodes, shape),
-        _scatter(by, space.cell_pdofs, mesh.cell_vnodes, shape),
-    ], format="csr")
+    return -np.einsum("eq,ecq,ekdq->ekcd", qd.qw, psi, qd.dphi)
 
 
-def assemble_forcing(mesh: Mesh, space: MixedSpace) -> np.ndarray:
-    """Momentum right-hand side: no body force, and the rows of
-    Dirichlet-constrained DOFs carry the boundary values so that reduced
-    systems can lift them."""
-    f = np.zeros(space.n_u)
-    f[space.dirichlet] = space.dirichlet_values
-    return f
+class SaddlePlan:
+    """The fixed sparsity of one mixed space's saddle matrices
+    ``[[F, B^T], [B, 0]]``: rows are the interior velocity DOFs, then the
+    pressure DOFs; columns the same, then the Dirichlet velocity DOFs.  So
+    a filled matrix times ``(u_i, p, u_d)`` applies the operator to a
+    state, and its first `n` columns, a prefix of the CSC arrays, are the
+    square system.  Each element-matrix entry has one data slot; entries in
+    Dirichlet rows go to a last slot that is dropped.  Momentum without x-y
+    blocks (Stokes, Picard, mass) fills one pattern, Newton a second.
+    """
+
+    def __init__(self, space: MixedSpace):
+        n_i = space.interior.size
+        self.n = n_i + space.n_p
+        self.n_cols = self.n + space.dirichlet.size
+        position = np.empty(space.n_u, dtype=np.int64)
+        position[space.interior] = np.arange(n_i)
+        position[space.dirichlet] = self.n + np.arange(space.dirichlet.size)
+        vel = _cell_velocity(space.mesh, position)
+        # divergence entries [e, k, c, a]: pressure c, velocity (k, a)
+        p_side, v_side = np.broadcast_arrays(
+            (n_i + space.cell_pdofs)[:, None, :, None], vel[:, :, None, :])
+        self.picard = self._pattern(vel[:, :, :, None], vel[:, :, None, :],
+                                    p_side, v_side)
+        self.newton = self._pattern(vel[:, :, None, :, None],
+                                    vel[:, None, :, None, :], p_side, v_side)
+
+    def _pattern(self, rows, cols, p_side, v_side):
+        """Slots, CSC indices and pointers of momentum entries
+        ``(rows, cols)`` followed by the blocks ``B`` and ``B^T``."""
+        rows, cols = np.broadcast_arrays(rows, cols)
+        rows = np.concatenate([rows.ravel(), p_side.ravel(), v_side.ravel()])
+        cols = np.concatenate([cols.ravel(), v_side.ravel(), p_side.ravel()])
+        kept = rows < self.n
+        keys, slot = np.unique(cols[kept] * self.n + rows[kept],
+                               return_inverse=True)
+        slots = np.full(rows.size, keys.size)
+        slots[kept] = slot
+        indptr = np.searchsorted(keys, self.n * np.arange(self.n_cols + 1))
+        return slots, (keys % self.n).astype(np.int32), indptr.astype(np.int32)
+
+    def fill(self, momentum: np.ndarray,
+             divergence: np.ndarray) -> sparse.csc_matrix:
+        """The saddle matrix of element matrices `momentum` and
+        `divergence` (see :func:`assemble_divergence`).  `momentum` is
+        (n_cells, 9, 9), the same for both velocity components, or
+        (n_cells, 2, 2, 9, 9) per pair of components (Newton pattern)."""
+        if momentum.ndim == 3:
+            slots, indices, indptr = self.picard
+            momentum = np.stack([momentum, momentum], axis=1)
+        else:
+            slots, indices, indptr = self.newton
+        values = np.concatenate([momentum.ravel(), divergence.ravel(),
+                                 divergence.ravel()])
+        data = np.bincount(slots, values, minlength=indices.size + 1)[:-1]
+        return sparse.csc_matrix((data, indices, indptr),
+                                 shape=(self.n, self.n_cols))
+
+    def square(self, matrix: sparse.csc_matrix) -> sparse.csc_matrix:
+        """The first `n` columns of a filled matrix: the system on ``(u_i, p)``."""
+        end = matrix.indptr[self.n]
+        return sparse.csc_matrix((matrix.data[:end], matrix.indices[:end],
+                                  matrix.indptr[:self.n + 1]),
+                                 shape=(self.n, self.n))
+
+
+def saddle_plan(space: MixedSpace) -> SaddlePlan:
+    """The saddle pattern of a mixed space, built once and cached on it."""
+    cached = getattr(space, "_saddle_plan", None)
+    if cached is None:
+        cached = SaddlePlan(space)
+        space._saddle_plan = cached
+    return cached

@@ -30,7 +30,8 @@ from scipy import linalg, sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from .errors import EigenError
-from .steady import Operators, SteadyResult, newton_operator, saddle_matrix
+from .assembly import saddle_plan
+from .steady import Operators, SteadyResult, newton_operator
 
 #: exclusion radius around 1/delta, relative to |1/delta|
 _CLUSTER_RTOL = 0.01
@@ -54,7 +55,7 @@ class EigenProblem:
     """
 
     lhs: sparse.spmatrix
-    rhs: sparse.csr_matrix
+    rhs: sparse.spmatrix
     delta: float | None = None
 
     @property
@@ -75,17 +76,16 @@ class EigenResult:
 
 def build_problem(ops: Operators, steady: SteadyResult,
                   delta: float = -1e-2) -> EigenProblem:
-    """Assemble the pencil at a converged steady state, interior DOFs only;
-    the Jacobian builds on the solve's Picard operator at that state."""
+    """Assemble the pencil at a converged steady state, interior DOFs only:
+    ``lhs`` is the Newton pattern filled at that state, building on the
+    solve's Picard element matrices, ``rhs`` the Picard pattern filled with
+    ``-G`` and ``delta B``."""
     if delta == 0.0:
         raise EigenError("delta must be nonzero; the plain mass pencil is singular")
-    iu = ops.space.interior
+    plan = saddle_plan(ops.space)
     jacobian = newton_operator(ops, steady.state.velocity, steady.picard)
-    lhs = saddle_matrix(ops, jacobian)
-    div_i = ops.divergence[:, iu]
-    mass_ii = ops.mass[iu][:, iu]
-    rhs = sparse.bmat([[-mass_ii, delta * div_i.T],
-                       [delta * div_i, None]], format="csr")
+    lhs = plan.square(plan.fill(jacobian, ops.divergence))
+    rhs = plan.square(plan.fill(-ops.mass, delta * ops.divergence))
     return EigenProblem(lhs, rhs, delta)
 
 

@@ -68,7 +68,9 @@ _one_blas_thread()
 #: 1: of a complex pair, the member with positive imaginary part
 #: 2: Newton from the nominal steady state, steady tolerance 1e-10, ARPACK tol 1e-8
 #: 3: OpenBLAS on one thread, so results do not depend on the core count
-ALGORITHM = 3
+#: 4: saddle matrices filled into one fixed pattern, which sums element
+#:    entries in a new order
+ALGORITHM = 4
 
 #: basis family -> sampling distribution of the germ
 FAMILY_DISTRIBUTION = {"hermite": "normal", "legendre": "uniform"}

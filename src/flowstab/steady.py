@@ -1,22 +1,22 @@
 """Steady Navier-Stokes solves with the hybrid Picard/Newton iteration.
 
 The nonlinear saddle-point system is solved in correction form.  Each
-iterate is evaluated once: the convection matrix at its velocity is
-assembled once, and ``diffusion + convection`` serves as the residual's
-momentum matrix, as the Picard operator and as the base of the Newton
-Jacobian (which adds the velocity-gradient coupling).  The residual
-computed there is the right-hand side of the correction that leads to
-the next iterate.  The initial iterate is the Stokes solution for the
-same viscosity field, or, when the caller hands in a start state (the
-steady state of a nearby viscosity field), that state, from which only
-Newton steps are taken; a start that fails falls back to the Stokes path.
+iterate is evaluated once: the convection element matrices at its
+velocity are assembled once, and ``diffusion + convection``, filled into
+the space's saddle pattern, gives the residual and is the Picard matrix;
+the Newton Jacobian adds the velocity-gradient coupling to the same
+element matrices.  The residual is the right-hand side of the correction
+that leads to the next iterate.  The initial iterate is the Stokes
+solution, the first correction from the lift state (boundary values, zero
+pressure) with diffusion alone; or, when the caller hands in a start state
+(the steady state of a nearby viscosity field), that state, from which
+only Newton steps are taken; a start that fails falls back to the Stokes
+path.
 
-Dirichlet data enters through lifting: assembled matrices keep full size,
-the reduced system runs on interior velocity DOFs plus all pressure DOFs,
-and convergence is measured by the Euclidean norm of the reduced residual
-relative to the lifted Stokes right-hand side, which is formed once per
-solve.  Linear systems use a sparse direct factorization; there is no
-line search.
+Convergence is measured by the Euclidean norm of the reduced residual
+(interior velocity and all pressure rows) relative to the Stokes residual
+at the lift state, formed once per solve.  Linear systems use a sparse
+direct factorization; there is no line search.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .assembly import (SpatialField, assemble_convection, assemble_diffusion,
-                       assemble_divergence, assemble_forcing,
-                       assemble_newton_derivative, assemble_velocity_mass)
+                       assemble_divergence, assemble_newton_derivative,
+                       assemble_velocity_mass, saddle_plan)
 from .errors import ConvergenceError, RankDeficiencyError, SolverError
 from .meshes import Mesh, MixedSpace
 
@@ -61,14 +61,13 @@ class FlowState:
 
 @dataclass
 class Operators:
-    """State-independent discrete operators for one viscosity realization."""
+    """State-independent element matrices for one viscosity realization."""
 
     mesh: Mesh
     space: MixedSpace
-    diffusion: sparse.csr_matrix
-    divergence: sparse.csr_matrix
-    mass: sparse.csr_matrix
-    forcing_u: np.ndarray
+    diffusion: np.ndarray
+    divergence: np.ndarray
+    mass: np.ndarray
 
 
 @dataclass
@@ -78,89 +77,59 @@ class SteadyResult:
     reference: float
     trace: list
     #: :func:`picard_operator` at the converged velocity
-    picard: sparse.csr_matrix = field(repr=False)
+    picard: np.ndarray = field(repr=False)
 
 
 def build_operators(mesh: Mesh, space: MixedSpace,
                     viscosity: SpatialField) -> Operators:
     """Assemble everything that does not depend on the flow state."""
-    return Operators(
-        mesh, space,
-        assemble_diffusion(mesh, viscosity),
-        assemble_divergence(mesh, space),
-        assemble_velocity_mass(mesh),
-        assemble_forcing(mesh, space),
-    )
+    return Operators(mesh, space, assemble_diffusion(mesh, viscosity),
+                     assemble_divergence(mesh, space),
+                     assemble_velocity_mass(mesh))
 
 
-def _factor(matrix: sparse.spmatrix):
+def _factor(matrix: sparse.csc_matrix):
     try:
-        return splu(matrix.tocsc())
+        return splu(matrix)
     except RuntimeError as exc:
         raise RankDeficiencyError(f"saddle-point factorization failed: {exc}") from exc
 
 
-def saddle_matrix(ops: Operators, momentum: sparse.spmatrix) -> sparse.csc_matrix:
-    """``[[A_ii, B_i^T], [B_i, 0]]`` on the interior velocity DOFs and all
-    pressure DOFs, `momentum` being ``A``; explicit zeros are kept."""
-    iu = ops.space.interior
-    mom_ii = momentum[iu][:, iu]
-    div_i = ops.divergence[:, iu]
-    return sparse.bmat([[mom_ii, div_i.T], [div_i, None]], format="csc")
-
-
-def lifted_stokes_rhs(ops: Operators) -> np.ndarray:
-    """Reduced Stokes right-hand side including the Dirichlet lift."""
-    iu, dr = ops.space.interior, ops.space.dirichlet
-    u_d = ops.space.dirichlet_values
-    rhs_u = ops.forcing_u[iu] - ops.diffusion[iu][:, dr] @ u_d
-    # 0.0 - x, not -x: the continuity rows hold no forcing, and exact zeros
-    # stay +0.0 rather than turning into -0.0
-    rhs_p = 0.0 - ops.divergence[:, dr] @ u_d
-    return np.concatenate([rhs_u, rhs_p])
-
-
-def solve_stokes(ops: Operators, rhs: np.ndarray) -> FlowState:
-    """Stokes flow for the lifted right-hand side `rhs`; the nonlinear
-    initial iterate."""
-    iu = ops.space.interior
-    sol = _factor(saddle_matrix(ops, ops.diffusion)).solve(rhs)
-    velocity = np.zeros(ops.space.n_u)
-    velocity[ops.space.dirichlet] = ops.space.dirichlet_values
-    velocity[iu] = sol[:iu.size]
-    return FlowState(velocity, sol[iu.size:])
-
-
-def picard_operator(ops: Operators, velocity: np.ndarray) -> sparse.csr_matrix:
-    """``diffusion + convection(velocity)``: the residual's momentum matrix,
-    the Picard operator and the base of the Newton Jacobian."""
+def picard_operator(ops: Operators, velocity: np.ndarray) -> np.ndarray:
+    """Element matrices of ``diffusion + convection(velocity)``: the
+    residual's momentum, the Picard operator and the Newton base."""
     return ops.diffusion + assemble_convection(ops.mesh, velocity)
 
 
 def newton_operator(ops: Operators, velocity: np.ndarray,
-                    picard: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Newton Jacobian: the Picard operator at `velocity` plus the
+                    picard: np.ndarray) -> np.ndarray:
+    """Element matrices of the Newton Jacobian, (n_cells, 2, 2, 9, 9): the
+    Picard operator at `velocity` on both components plus the
     velocity-gradient coupling."""
-    return picard + assemble_newton_derivative(ops.mesh, velocity)
+    jacobian = assemble_newton_derivative(ops.mesh, velocity)
+    jacobian[:, [0, 1], [0, 1]] += picard[:, None]
+    return jacobian
 
 
 def residual(ops: Operators, state: FlowState,
-             picard: sparse.csr_matrix) -> np.ndarray:
-    """Reduced nonlinear residual at a state with correct boundary values;
-    `picard` is :func:`picard_operator` at the state's velocity."""
-    iu = ops.space.interior
-    momentum = (ops.forcing_u - picard @ state.velocity
-                - ops.divergence.T @ state.pressure)
-    continuity = 0.0 - ops.divergence @ state.velocity   # +0.0, see above
-    return np.concatenate([momentum[iu], continuity])
+             matrix: sparse.csc_matrix) -> np.ndarray:
+    """Reduced nonlinear residual ``0 - S (u_i, p, u_d)`` at a state with
+    correct boundary values, `matrix` being the filled saddle matrix ``S``
+    of the momentum operator at the state's velocity."""
+    space = ops.space
+    x = np.concatenate([state.velocity[space.interior], state.pressure,
+                        state.velocity[space.dirichlet]])
+    # 0.0 - x, not -x: the problem holds no forcing, and exact zeros stay
+    # +0.0 rather than turning into -0.0
+    return 0.0 - matrix @ x
 
 
 def nonlinear_step(ops: Operators, state: FlowState,
-                   momentum: sparse.spmatrix, res: np.ndarray) -> FlowState:
-    """One correction from `state`: the saddle system with momentum block
-    `momentum` solved for `res`, the residual at `state`."""
+                   matrix: sparse.csc_matrix, res: np.ndarray) -> FlowState:
+    """One correction from `state`: the square part of the filled saddle
+    matrix `matrix` solved for `res`, the residual at `state`."""
     iu = ops.space.interior
-    delta = _factor(saddle_matrix(ops, momentum)).solve(res)
+    delta = _factor(saddle_plan(ops.space).square(matrix)).solve(res)
     velocity = state.velocity.copy()
     velocity[iu] += delta[:iu.size]
     return FlowState(velocity, state.pressure + delta[iu.size:])
@@ -181,29 +150,35 @@ def solve_steady(ops: Operators, settings: SolverSettings | None = None,
     diverges; the caller decides whether that realization is skipped.
     """
     settings = settings or SolverSettings()
-    rhs = lifted_stokes_rhs(ops)
+    space = ops.space
+    lift = FlowState(np.zeros(space.n_u), np.zeros(space.n_p))
+    lift.velocity[space.dirichlet] = space.dirichlet_values
+    stokes = saddle_plan(space).fill(ops.diffusion, ops.divergence)
+    rhs = residual(ops, lift, stokes)
+    reference = float(np.linalg.norm(rhs))
     if start is not None:
         try:
-            return _iterate(ops, rhs, start, "warm",
+            return _iterate(ops, reference, start, "warm",
                             ["newton"] * settings.newton_steps)
         except SolverError:
             pass
-    return _iterate(ops, rhs, solve_stokes(ops, rhs), "stokes",
-                    ["picard"] * settings.picard_steps
+    return _iterate(ops, reference, nonlinear_step(ops, lift, stokes, rhs),
+                    "stokes", ["picard"] * settings.picard_steps
                     + ["newton"] * settings.newton_steps)
 
 
-def _iterate(ops: Operators, rhs: np.ndarray, state: FlowState, kind: str,
+def _iterate(ops: Operators, reference: float, state: FlowState, kind: str,
              steps: list) -> SteadyResult:
     """Corrections from `state` (produced by `kind`), one per entry of
     `steps`, until the residual meets the target."""
-    reference = float(np.linalg.norm(rhs))
     target = _REL_TOL * reference
-    plan = iter(steps)
+    plan = saddle_plan(ops.space)
+    steps = iter(steps)
     trace, growth = [], 0
     while True:
         picard = picard_operator(ops, state.velocity)
-        res = residual(ops, state, picard)
+        matrix = plan.fill(picard, ops.divergence)
+        res = residual(ops, state, matrix)
         res_norm = float(np.linalg.norm(res))
         trace.append({"step": len(trace), "kind": kind, "residual": res_norm})
         if not np.isfinite(res_norm):
@@ -214,12 +189,13 @@ def _iterate(ops: Operators, rhs: np.ndarray, state: FlowState, kind: str,
             if growth >= _DIVERGENCE_PATIENCE:
                 raise ConvergenceError(
                     f"Newton phase diverged for {growth} consecutive steps", trace)
-        kind = next(plan, None)
+        kind = next(steps, None)
         if res_norm <= target or kind is None:
             break
-        momentum = (picard if kind == "picard"
-                    else newton_operator(ops, state.velocity, picard))
-        state = nonlinear_step(ops, state, momentum, res)
+        if kind == "newton":
+            matrix = plan.fill(newton_operator(ops, state.velocity, picard),
+                               ops.divergence)
+        state = nonlinear_step(ops, state, matrix, res)
 
     if res_norm > target:
         raise ConvergenceError(

@@ -468,6 +468,14 @@ _FORMAT = "flowstab-surrogate"
 _VERSION = 1
 _KINDS = {"sc": ScSurrogate, "gp": GpSurrogate, "nn": NnSurrogate}
 
+#: the named dimensions of each array field; a name used twice must agree
+_SHAPES = {
+    ScSurrogate: {"coeffs": ("n_terms",)},
+    GpSurrogate: {"inputs": ("n", "m"), "alpha": ("n",)},
+    NnSurrogate: {"w1": ("hidden", "m"), "b1": ("hidden",), "w2": ("hidden",),
+                  "in_lo": ("m",), "in_hi": ("m",)},
+}
+
 
 def save_surrogate(surrogate, path, provenance: dict | None = None) -> None:
     """Write a surrogate as a versioned JSON document.
@@ -498,7 +506,8 @@ def load_surrogate(path):
     """Rebuild a surrogate saved by ``save_surrogate``.
 
     Anything else (a corrupt file, another format or version, an unknown
-    kind, missing fields) raises :class:`ConfigError`.
+    kind, missing fields, arrays of the wrong shape) raises
+    :class:`ConfigError`.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -519,7 +528,8 @@ def load_surrogate(path):
 def _rebuild(cls, doc: dict):
     """The fields of `cls` as `save_surrogate` wrote them; lists load as
     arrays, and params that are not fields (the ``imag_coeffs`` of older
-    collocation files) are ignored."""
+    collocation files) are ignored.  Raises ``ValueError`` when an array
+    does not have the shape :data:`_SHAPES` gives it."""
     params = doc["params"]
     values = {}
     for f in fields(cls):
@@ -531,4 +541,13 @@ def _rebuild(cls, doc: dict):
         else:
             value = params[f.name]
             values[f.name] = np.array(value) if isinstance(value, list) else value
+    dims = {"hidden": _HIDDEN}
+    if "basis" in values:
+        dims["n_terms"] = values["basis"].n_terms
+    for name, want in _SHAPES[cls].items():
+        shape = np.shape(values[name])
+        if (len(shape) != len(want)
+                or any(dims.setdefault(d, n) != n for d, n in zip(want, shape))):
+            raise ValueError(f"{name} has shape {shape}, not "
+                             f"{tuple(dims.get(d, d) for d in want)}")
     return cls(**values)

@@ -46,6 +46,33 @@ def planted_pencil(n, seed, rightmost_re=None):
             complex(pair[0], abs(pair[1])))
 
 
+def scatter(local, rows, cols, shape):
+    """Sum (n_cells, nr, nc) element blocks into a global sparse matrix."""
+    r = np.broadcast_to(rows[:, :, None], local.shape)
+    c = np.broadcast_to(cols[:, None, :], local.shape)
+    return sparse.coo_matrix((local.ravel(), (r.ravel(), c.ravel())),
+                             shape=shape).tocsr()
+
+
+def velocity_matrix(mesh, local):
+    """Full-size velocity matrix of element matrices: (n_cells, 9, 9) on
+    both components, or (n_cells, 2, 2, 9, 9) per pair of components."""
+    nodes, nv = mesh.cell_vnodes, mesh.n_vnodes
+    if local.ndim == 3:
+        block = scatter(local, nodes, nodes, (nv, nv))
+        return sparse.block_diag([block, block], format="csr")
+    return sparse.bmat([[scatter(local[:, c, d], nodes, nodes, (nv, nv))
+                         for d in range(2)] for c in range(2)], format="csr")
+
+
+def divergence_matrix(mesh, space, local):
+    """Full-size ``B`` (n_p, n_u) of divergence element blocks."""
+    shape = (space.n_p, mesh.n_vnodes)
+    return sparse.hstack([scatter(local[:, k], space.cell_pdofs,
+                                  mesh.cell_vnodes, shape)
+                          for k in range(2)], format="csr")
+
+
 def channel_flow_pencil(nx, ny, pressure, nu, delta=-1e-2):
     """Stability pencil of the steady channel flow on a small mesh."""
     from flowstab.eigen import build_problem

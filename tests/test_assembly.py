@@ -3,16 +3,19 @@
 Two kinds of oracle are used: closed-form 1D mass/stiffness tensor
 products for constant coefficients (true integrals), and an explicit
 scalar loop over the same 3x3 Gauss points with independently written
-physical shape functions for variable coefficients.
+physical shape functions for variable coefficients.  The kernels return
+element matrices; a test-side scatter builds the full-size matrices the
+oracles are stated on.
 """
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from conftest import divergence_matrix, velocity_matrix
 from flowstab.assembly import (SpatialField, assemble_convection,
                                assemble_diffusion, assemble_divergence,
-                               assemble_forcing, assemble_newton_derivative,
+                               assemble_newton_derivative,
                                assemble_velocity_mass, quad_data)
 from flowstab.errors import PositivityError
 from flowstab.meshes import build_space, channel_mesh, obstacle_mesh
@@ -85,7 +88,7 @@ def scalar_block(mat, nv):
 
 def test_mass_matches_tensor_closed_form():
     mesh = single_cell()[0]
-    G = assemble_velocity_mass(mesh)
+    G = velocity_matrix(mesh, assemble_velocity_mass(mesh))
     want = np.kron(mass_1d(0.7), mass_1d(2.0))
     np.testing.assert_allclose(scalar_block(G, 9), want, atol=1e-14)
     # identical second diagonal block, zero coupling
@@ -95,7 +98,8 @@ def test_mass_matches_tensor_closed_form():
 
 def test_diffusion_constant_viscosity_closed_form():
     mesh = single_cell()[0]
-    A = assemble_diffusion(mesh, SpatialField.constant(mesh, 3.25))
+    A = velocity_matrix(mesh, assemble_diffusion(
+        mesh, SpatialField.constant(mesh, 3.25)))
     want = 3.25 * (np.kron(stiffness_1d(0.7), mass_1d(2.0))
                    + np.kron(mass_1d(0.7), stiffness_1d(2.0)))
     np.testing.assert_allclose(scalar_block(A, 9), want, atol=1e-12)
@@ -105,7 +109,8 @@ def test_diffusion_variable_viscosity_against_loop(oracle):
     mesh = single_cell()[0]
     nu = lambda x, y: 1.0 + x + y**2
     qd = quad_data(mesh)
-    A = assemble_diffusion(mesh, SpatialField(nu(qd.qx, qd.qy)))
+    A = velocity_matrix(mesh, assemble_diffusion(
+        mesh, SpatialField(nu(qd.qx, qd.qy))))
     want = np.empty((9, 9))
     for a in range(9):
         for b in range(9):
@@ -121,7 +126,7 @@ def test_diffusion_linear_in_viscosity():
     mesh = single_cell()[0]
     a1 = assemble_diffusion(mesh, SpatialField.constant(mesh, 1.0))
     a2 = assemble_diffusion(mesh, SpatialField.constant(mesh, 2.0))
-    np.testing.assert_allclose(a2.toarray(), 2.0 * a1.toarray(), atol=1e-14)
+    np.testing.assert_allclose(a2, 2.0 * a1, atol=1e-14)
 
 
 def test_nonpositive_viscosity_rejected():
@@ -140,7 +145,7 @@ def test_convection_against_loop(oracle):
     mesh, space = single_cell()
     rng = np.random.default_rng(5)
     wind = rng.standard_normal(space.n_u)
-    N = assemble_convection(mesh, wind)
+    N = velocity_matrix(mesh, assemble_convection(mesh, wind))
 
     def wind_at(x, y):
         wx = sum(wind[a] * oracle.chi(a, x, y) for a in range(9))
@@ -170,7 +175,7 @@ def test_newton_derivative_of_linear_field_is_signed_mass():
     # wind (x, -y) has gradient diag(1, -1), so the coupling is +/- mass
     mesh = single_cell()[0]
     wind = interpolate(mesh, lambda x, y: (x, -y))
-    W = assemble_newton_derivative(mesh, wind)
+    W = velocity_matrix(mesh, assemble_newton_derivative(mesh, wind))
     M = np.kron(mass_1d(0.7), mass_1d(2.0))
     np.testing.assert_allclose(W[:9, :9].toarray(), M, atol=1e-13)
     np.testing.assert_allclose(W[9:, 9:].toarray(), -M, atol=1e-13)
@@ -189,7 +194,7 @@ def test_newton_derivative_cross_blocks(oracle):
     # wind (y, 0): only the xy block survives and equals the mass matrix
     mesh = single_cell()[0]
     wind = interpolate(mesh, lambda x, y: (y, np.zeros_like(y)))
-    W = assemble_newton_derivative(mesh, wind)
+    W = velocity_matrix(mesh, assemble_newton_derivative(mesh, wind))
     M = np.kron(mass_1d(0.7), mass_1d(2.0))
     np.testing.assert_allclose(W[:9, 9:].toarray(), M, atol=1e-13)
     np.testing.assert_allclose(W[:9, :9].toarray(), 0.0, atol=1e-14)
@@ -199,7 +204,8 @@ def test_newton_derivative_cross_blocks(oracle):
 def test_divergence_against_loop(oracle, pressure):
     mesh = channel_mesh(nx=1, ny=1, length=0.7)
     space = build_space(mesh, pressure)
-    B = assemble_divergence(mesh, space).toarray()
+    B = divergence_matrix(mesh, space,
+                          assemble_divergence(mesh, space)).toarray()
     if pressure == "q1":
         lin = lambda t, n: [0.5 * (1 - t), 0.5 * (1 + t)][n]
         psi = [lambda x, y, c=c: lin(2 * x / 0.7 - 1, c // 2) * lin(y, c % 2)
@@ -219,7 +225,7 @@ def test_divergence_against_loop(oracle, pressure):
 def test_divergence_annihilates_divergence_free_interpolants(pressure):
     mesh = obstacle_mesh(refine=1)
     space = build_space(mesh, pressure)
-    B = assemble_divergence(mesh, space)
+    B = divergence_matrix(mesh, space, assemble_divergence(mesh, space))
     for fn in [lambda x, y: (1.0 - y**2, np.zeros_like(x)),
                lambda x, y: (x, -y)]:
         u = interpolate(mesh, fn)
@@ -229,7 +235,7 @@ def test_divergence_annihilates_divergence_free_interpolants(pressure):
 def test_divergence_of_expanding_field_is_mean_pressure():
     # div (x, 0) = 1, so B u must equal minus the pressure-space averages
     mesh, space = single_cell()
-    B = assemble_divergence(mesh, space)
+    B = divergence_matrix(mesh, space, assemble_divergence(mesh, space))
     u = interpolate(mesh, lambda x, y: (x, np.zeros_like(y)))
     # integral of each bilinear pressure function over the cell: area/4
     np.testing.assert_allclose(B @ u, -0.35 * np.ones(4), atol=1e-13)
@@ -238,23 +244,16 @@ def test_divergence_of_expanding_field_is_mean_pressure():
 def test_total_mass_is_twice_area():
     mesh = obstacle_mesh(refine=1, stretch=1.25)
     space = build_space(mesh, "q1")
-    G = assemble_velocity_mass(mesh)
+    G = velocity_matrix(mesh, assemble_velocity_mass(mesh))
     ones = np.ones(space.n_u)
     assert ones @ (G @ ones) == pytest.approx(2.0 * 15.75, rel=1e-13)
-
-
-def test_forcing_rows_carry_dirichlet_values():
-    mesh = obstacle_mesh(refine=1)
-    space = build_space(mesh, "q1")
-    f = assemble_forcing(mesh, space)
-    np.testing.assert_array_equal(f[space.dirichlet], space.dirichlet_values)
-    assert np.all(f[space.interior] == 0.0)
 
 
 def test_assembly_independent_of_cell_order():
     mesh = obstacle_mesh(refine=1)
     qd = quad_data(mesh)
-    A = assemble_diffusion(mesh, SpatialField(1.0 + 0.1 * qd.qx * qd.qy))
+    A = velocity_matrix(mesh, assemble_diffusion(
+        mesh, SpatialField(1.0 + 0.1 * qd.qx * qd.qy)))
 
     shuffled = obstacle_mesh(refine=1)
     rng = np.random.default_rng(11)
@@ -263,7 +262,8 @@ def test_assembly_independent_of_cell_order():
     shuffled.cell_vnodes = shuffled.cell_vnodes[perm]
     shuffled.cell_pnodes = shuffled.cell_pnodes[perm]
     qd2 = quad_data(shuffled)
-    A2 = assemble_diffusion(shuffled, SpatialField(1.0 + 0.1 * qd2.qx * qd2.qy))
+    A2 = velocity_matrix(shuffled, assemble_diffusion(
+        shuffled, SpatialField(1.0 + 0.1 * qd2.qx * qd2.qy)))
     assert abs(A - A2).max() < 1e-13
 
 

@@ -104,6 +104,22 @@ def test_spectrum_outputs(workdir, capsys):
     assert payload["rightmost"]["re"] == pytest.approx(-0.2321969, abs=1e-4)
 
 
+@pytest.mark.parametrize("name, rightmost", [
+    ("obstacle_desk", "-2.321969e-01"), ("step_desk", "-4.614216e-04")],
+    ids=["obstacle_desk", "step_desk"])
+def test_spectrum_of_the_desk_configs(workdir, capsys, name, rightmost):
+    # the deterministic reference values of the shipped desk configurations
+    data = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    data["paths"] = {"outdir": f"out_{name}", "cache": None}
+    path = workdir / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["spectrum", "--config", str(path)]) == 0
+    assert f"rightmost: {rightmost} " in capsys.readouterr().out
+    rows = list(csv.reader((workdir / f"out_{name}" / "spectrum.csv").open()))
+    # the next Ritz values to the right come with it
+    assert [r[2] for r in rows[1:]].count("candidate") >= 3
+
+
 def test_missing_config_file_exit_2(workdir):
     assert main(["solve", "--config", str(workdir / "missing.yaml")]) == 2
 
@@ -315,6 +331,19 @@ def test_truncated_surrogate_is_config_error(workdir, capsys):
     target.write_text('{"format": "flowstab-surrogate", "kind": "gp", "par')
     assert main(["assess", "--config", str(path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_surrogate_of_the_wrong_shape_is_config_error(workdir, capsys):
+    path = write_config(workdir / "scbad.yaml", surrogates={"models": ["sc"]},
+                        paths={"outdir": "out_scbad", "cache": None})
+    assert main(["train", "--config", str(path)]) == 0
+    target = surrogate_path(load_config(path), "sc", 0.05)
+    doc = json.loads(target.read_text())
+    doc["params"]["coeffs"] = doc["params"]["coeffs"][:3]
+    target.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["assess", "--config", str(path)]) == 2
+    assert "coeffs has shape (3,)" in capsys.readouterr().err
 
 
 def test_cache_inspect_torn_tail(workdir, capsys):

@@ -374,6 +374,29 @@ def test_warm_start_stays_on_the_cold_eigenvalue_at_tail_germs(name, germs):
         assert abs(warm.eigenvalue - cold.eigenvalue) <= 1e-9, xi
 
 
+#: rightmost eigenvalues at the tail germs (CoV 0.10, warm start) as the
+#: chain computed them before the saddle matrices were filled into a fixed
+#: pattern (ALGORITHM 3); the new summation order moves them by an ulp
+RECORDED_TAIL_EIGENVALUES = {
+    "obstacle_desk": {(3.0, 0.0): -0.2984040374822252,
+                      (-3.0, 3.0): -0.1795971563111187,
+                      (2.12, 2.12): -0.27735311528301493},
+    "step_desk": {(0.95, 0.95): -0.01053712959209922,
+                  (0.95, -0.95): 0.00132554826356735,
+                  (-0.95, 0.95): -0.0023213254691066814,
+                  (-0.95, -0.95): 0.007771326855197227},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_TAIL_EIGENVALUES))
+def test_tail_germ_eigenvalues_match_recorded_values(name):
+    sim = build_simulator(load_config(CONFIGS / f"{name}.yaml"), 0.10,
+                          use_cache=False)
+    for xi, value in RECORDED_TAIL_EIGENVALUES[name].items():
+        lam = sim.solve(sim.model.evaluate(np.array(xi)))[1].eigenvalue
+        assert abs(lam - value) <= 1e-12, xi
+
+
 @pytest.mark.parametrize("spoil", ["nan", "far"])
 def test_failed_warm_start_gives_the_cold_record(toy, spoil):
     sim = make_sim(toy)

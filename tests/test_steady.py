@@ -6,13 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowstab.assembly import SpatialField
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
+
+from conftest import divergence_matrix, velocity_matrix
+from flowstab.assembly import (SpatialField, assemble_convection,
+                               assemble_newton_derivative, saddle_plan)
+from flowstab.eigen import build_problem
 from flowstab.errors import ConvergenceError
 from flowstab.meshes import build_space, channel_mesh, obstacle_mesh
 from flowstab.steady import (FlowState, SolverSettings, build_operators,
-                             lifted_stokes_rhs, newton_operator, nonlinear_step,
-                             picard_operator, residual, solve_steady,
-                             solve_stokes)
+                             newton_operator, nonlinear_step, picard_operator,
+                             residual, solve_steady)
 
 NU = 0.1
 
@@ -57,27 +62,28 @@ def test_zero_inflow_gives_zero_state():
 
 
 def test_residual_matches_manual_assembly():
-    from flowstab.assembly import assemble_convection
-
     mesh, space, ops, _ = poiseuille_setup()
     rng = np.random.default_rng(3)
     state = FlowState(rng.standard_normal(space.n_u), rng.standard_normal(space.n_p))
-    res = residual(ops, state, picard_operator(ops, state.velocity))
-    conv = assemble_convection(mesh, state.velocity)
-    full = ops.forcing_u - (ops.diffusion + conv) @ state.velocity \
-        - ops.divergence.T @ state.pressure
-    want = np.concatenate([full[space.interior],
-                           -(ops.divergence @ state.velocity)])
+    matrix = saddle_plan(space).fill(picard_operator(ops, state.velocity),
+                                     ops.divergence)
+    res = residual(ops, state, matrix)
+    momentum = (velocity_matrix(mesh, ops.diffusion)
+                + velocity_matrix(mesh, assemble_convection(mesh, state.velocity)))
+    div = divergence_matrix(mesh, space, ops.divergence)
+    full = -(momentum @ state.velocity) - div.T @ state.pressure
+    want = np.concatenate([full[space.interior], -(div @ state.velocity)])
     np.testing.assert_allclose(res, want, atol=1e-13)
 
 
 def test_newton_step_from_solution_stays_put():
-    _, _, ops, _ = poiseuille_setup()
+    _, space, ops, _ = poiseuille_setup()
     state = solve_steady(ops).state
+    plan = saddle_plan(space)
     picard = picard_operator(ops, state.velocity)
-    moved = nonlinear_step(ops, state,
-                           newton_operator(ops, state.velocity, picard),
-                           residual(ops, state, picard))
+    jacobian = newton_operator(ops, state.velocity, picard)
+    moved = nonlinear_step(ops, state, plan.fill(jacobian, ops.divergence),
+                           residual(ops, state, plan.fill(picard, ops.divergence)))
     assert np.abs(moved.velocity - state.velocity).max() < 1e-10
     assert np.abs(moved.pressure - state.pressure).max() < 1e-9
 
@@ -160,11 +166,83 @@ def test_budget_exhaustion_raises_with_trace():
     assert info.value.trace[-1]["residual"] > 0
 
 
+def reference_saddle(space, momentum, div, scale=1.0):
+    """``[[A_ii, s B_i^T], [s B_i, 0]]`` by scipy slicing and ``bmat``."""
+    iu = space.interior
+    div_i = scale * div[:, iu]
+    return sparse.bmat([[momentum[iu][:, iu], div_i.T], [div_i, None]],
+                       format="csc")
+
+
 def test_stokes_initial_iterate_satisfies_boundary_data():
-    mesh, space, ops, _ = poiseuille_setup(nx=4, ny=2, length=2.0)
-    state = solve_stokes(ops, lifted_stokes_rhs(ops))
+    # the Stokes start is the first correction from the lift state; it
+    # keeps the boundary values and solves the lifted Stokes system
+    mesh = obstacle_mesh(refine=1)
+    space = build_space(mesh, "q1")
+    ops = build_operators(mesh, space, SpatialField.constant(mesh, 0.05))
+    lift = FlowState(np.zeros(space.n_u), np.zeros(space.n_p))
+    lift.velocity[space.dirichlet] = space.dirichlet_values
+    stokes = saddle_plan(space).fill(ops.diffusion, ops.divergence)
+    state = nonlinear_step(ops, lift, stokes, residual(ops, lift, stokes))
     np.testing.assert_array_equal(state.velocity[space.dirichlet],
                                   space.dirichlet_values)
+
+    diffusion = velocity_matrix(mesh, ops.diffusion)
+    div = divergence_matrix(mesh, space, ops.divergence)
+    dr, u_d = space.dirichlet, space.dirichlet_values
+    rhs = np.concatenate([-(diffusion[space.interior][:, dr] @ u_d),
+                          -(div[:, dr] @ u_d)])
+    want = spsolve(reference_saddle(space, diffusion, div), rhs)
+    n_i = space.interior.size
+    np.testing.assert_allclose(state.velocity[space.interior], want[:n_i],
+                               atol=1e-11)
+    np.testing.assert_allclose(state.pressure, want[n_i:], atol=1e-10)
+
+
+def entries(matrix):
+    coo = matrix.tocoo()
+    return dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist()))
+
+
+@pytest.mark.parametrize("pressure", ["q1", "pm1"])
+def test_plan_square_part_is_the_sliced_saddle_matrix(pressure):
+    # the square prefix of every filled pattern equals the saddle matrix
+    # built from full-size matrices by slicing and bmat: same values, the
+    # same structure for Stokes, Picard and M_delta, and for Newton a
+    # superset whose extra entries are zero (exact cancellations that a
+    # sparse sum drops)
+    mesh = obstacle_mesh(refine=1)
+    space = build_space(mesh, pressure)
+    ops = build_operators(mesh, space, SpatialField.constant(mesh, 5.36193e-3))
+    result = solve_steady(ops)
+    u = result.state.velocity
+    plan = saddle_plan(space)
+    div = divergence_matrix(mesh, space, ops.divergence)
+    diffusion = velocity_matrix(mesh, ops.diffusion)
+    picard = diffusion + velocity_matrix(mesh, assemble_convection(mesh, u))
+    newton = picard + velocity_matrix(mesh, assemble_newton_derivative(mesh, u))
+    problem = build_problem(ops, result, delta=-1e-2)
+
+    def square(momentum):
+        return plan.square(plan.fill(momentum, ops.divergence))
+
+    cases = [
+        (square(ops.diffusion), diffusion, 1.0, True),
+        (square(picard_operator(ops, u)), picard, 1.0, True),
+        (problem.rhs, -velocity_matrix(mesh, ops.mass), -1e-2, True),
+        (square(newton_operator(ops, u, result.picard)), newton, 1.0, False),
+        (problem.lhs, newton, 1.0, False),
+    ]
+    for got, momentum, scale, same in cases:
+        want = reference_saddle(space, momentum, div, scale)
+        assert got.shape == want.shape == (plan.n, plan.n)
+        assert abs(got - want).max() <= 1e-14 * abs(want).max()
+        mine, theirs = entries(got), entries(want)
+        if same:
+            assert mine.keys() == theirs.keys()
+        else:
+            assert mine.keys() >= theirs.keys()
+            assert all(mine[k] == 0.0 for k in mine.keys() - theirs.keys())
 
 
 def test_settings_defaults_and_step_budget():

@@ -340,3 +340,25 @@ def test_load_rejects_foreign_and_corrupt_files(grid29, tmp_path):
         path.write_text(body)
         with pytest.raises(ConfigError):
             load_surrogate(path)
+
+
+@pytest.mark.parametrize("kind,name,cut", [
+    ("sc", "coeffs", lambda v: v[:3]),
+    ("gp", "inputs", lambda v: [row[0] for row in v]),
+    ("gp", "alpha", lambda v: v[:-1]),
+    ("nn", "w1", lambda v: v[:19]),
+    ("nn", "b1", lambda v: v + [0.0]),
+    ("nn", "in_hi", lambda v: v[:1]),
+])
+def test_load_rejects_arrays_of_the_wrong_shape(grid29, tmp_path, kind, name,
+                                               cut):
+    ts = TrainingSet.from_samples(grid29.nodes, np.sin(grid29.nodes[:, 0]))
+    fitted = {"sc": lambda: sc_train(grid29, ts.targets, 3),
+              "gp": lambda: gp_train(ts), "nn": lambda: nn_train(ts, seed=0)}
+    path = tmp_path / f"{kind}.json"
+    save_surrogate(fitted[kind](), path)
+    doc = json.loads(path.read_text())
+    doc["params"][name] = cut(doc["params"][name])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"{name} has shape"):
+        load_surrogate(path)
