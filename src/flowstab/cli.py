@@ -110,7 +110,8 @@ def ensure_surrogates(config: ExperimentConfig, sim: Simulator,
     paths = {name: surrogate_path(config, name, sim.model.cov)
              for name in config.models}
     if all(path.exists() for path in paths.values()):
-        loaded = {name: load_surrogate(path) for name, path in paths.items()}
+        loaded = {name: load_surrogate(path, config.m)
+                   for name, path in paths.items()}
         want = surrogate_provenance(config, sim)
         if all(json.loads(path.read_text()).get("provenance") == want
                for path in paths.values()):

@@ -70,7 +70,8 @@ _one_blas_thread()
 #: 3: OpenBLAS on one thread, so results do not depend on the core count
 #: 4: saddle matrices filled into one fixed pattern, which sums element
 #:    entries in a new order
-ALGORITHM = 4
+#: 5: the rightmost eigenvalue tracked from the nominal eigenpair
+ALGORITHM = 5
 
 #: basis family -> sampling distribution of the germ
 FAMILY_DISTRIBUTION = {"hermite": "normal", "legendre": "uniform"}
@@ -255,16 +256,35 @@ def _sample_key(xi: np.ndarray, fingerprint: str) -> str:
 
 def stability(mesh: Mesh, space: MixedSpace, viscosity: SpatialField,
               settings: SolverSettings, k: int, seed: int,
-              start: FlowState | None = None) -> tuple[SteadyResult, EigenResult]:
+              start: FlowState | None = None,
+              near: EigenResult | None = None) -> tuple[SteadyResult, EigenResult]:
     """Steady state and rightmost eigenpair for one viscosity field: the
     one stability chain that every caller runs.  The steady solve is
-    Newton from `start` when one is given (see :func:`solve_steady`).
+    Newton from `start` when one is given (see :func:`solve_steady`), and
+    the eigenvalue is tracked from `near` when one is given (see
+    :func:`rightmost`).
 
-    Raises :class:`SolverError` or :class:`EigenError` on failure.
+    Raises :class:`SolverError` or :class:`EigenError` on failure; an
+    :class:`EigenError` carries the converged steady result as `steady`.
     """
     ops = build_operators(mesh, space, viscosity)
     steady = solve_steady(ops, settings, start)
-    return steady, rightmost(build_problem(ops, steady), k=k, seed=seed)
+    try:
+        return steady, rightmost(build_problem(ops, steady), k=k, seed=seed,
+                                 near=near)
+    except EigenError as exc:
+        exc.steady = steady
+        raise
+
+
+@dataclass(frozen=True)
+class Nominal:
+    """The steady state and rightmost eigenpair at the germ ``xi = 0``,
+    from which every sample starts; `eigen` is ``None`` when the nominal
+    eigensolve failed, and samples then sweep for their eigenvalue."""
+
+    state: FlowState
+    eigen: Optional[EigenResult]
 
 
 @dataclass
@@ -317,22 +337,28 @@ class Simulator:
         self.cache = EvalCache(path, self.fingerprint)
 
     @cached_property
-    def nominal(self) -> Optional[FlowState]:
-        """Steady state at the germ ``xi = 0``, from which every sample's
-        steady solve starts; computed on first use and kept as vectors
-        only.  ``None`` when that solve fails: every sample then runs cold."""
+    def nominal(self) -> Optional[Nominal]:
+        """The cold chain at the germ ``xi = 0``, computed on first use and
+        kept as vectors only.  ``None`` when its steady solve fails: every
+        sample then runs cold."""
         try:
             viscosity = self.model.evaluate(np.zeros(self.model.dim))
-            ops = build_operators(self.mesh, self.space, viscosity)
-            return solve_steady(ops, self.settings).state
+            steady, eig = stability(self.mesh, self.space, viscosity,
+                                    self.settings, self.k, self.seed)
         except (PositivityError, SolverError):
             return None
+        except EigenError as exc:
+            return Nominal(exc.steady.state, None)
+        return Nominal(steady.state, eig)
 
     def solve(self, viscosity: SpatialField) -> tuple[SteadyResult, EigenResult]:
         """:func:`stability` under this simulator's mesh and settings,
         started from :attr:`nominal`."""
+        start = near = None
+        if self.nominal is not None:
+            start, near = self.nominal.state, self.nominal.eigen
         return stability(self.mesh, self.space, viscosity, self.settings,
-                         self.k, self.seed, self.nominal)
+                         self.k, self.seed, start, near)
 
     def compute(self, xi) -> SampleRecord:
         """Run the full chain for one sample; failures become records."""

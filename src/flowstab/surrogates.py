@@ -502,12 +502,13 @@ def save_surrogate(surrogate, path, provenance: dict | None = None) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def load_surrogate(path):
-    """Rebuild a surrogate saved by ``save_surrogate``.
+def load_surrogate(path, m: int):
+    """Rebuild a surrogate saved by ``save_surrogate``, for a study whose
+    germs have `m` components.
 
     Anything else (a corrupt file, another format or version, an unknown
-    kind, missing fields, arrays of the wrong shape) raises
-    :class:`ConfigError`.
+    kind, missing fields, arrays of the wrong shape, another germ
+    dimension) raises :class:`ConfigError`.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -520,16 +521,17 @@ def load_surrogate(path):
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"unknown surrogate kind {kind!r} in {path}")
     try:
-        return _rebuild(_KINDS[kind], doc)
+        return _rebuild(_KINDS[kind], doc, m)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {kind} surrogate in {path}: {exc!r}")
 
 
-def _rebuild(cls, doc: dict):
+def _rebuild(cls, doc: dict, m: int):
     """The fields of `cls` as `save_surrogate` wrote them; lists load as
     arrays, and params that are not fields (the ``imag_coeffs`` of older
     collocation files) are ignored.  Raises ``ValueError`` when an array
-    does not have the shape :data:`_SHAPES` gives it."""
+    does not have the shape :data:`_SHAPES` gives it, with `m` germ
+    components, or a chaos basis is not in `m` variables."""
     params = doc["params"]
     values = {}
     for f in fields(cls):
@@ -541,8 +543,10 @@ def _rebuild(cls, doc: dict):
         else:
             value = params[f.name]
             values[f.name] = np.array(value) if isinstance(value, list) else value
-    dims = {"hidden": _HIDDEN}
+    dims = {"hidden": _HIDDEN, "m": m}
     if "basis" in values:
+        if values["basis"].dim != m:
+            raise ValueError(f"basis has dim {values['basis'].dim}, not {m}")
         dims["n_terms"] = values["basis"].n_terms
     for name, want in _SHAPES[cls].items():
         shape = np.shape(values[name])

@@ -346,6 +346,20 @@ def test_surrogate_of_the_wrong_shape_is_config_error(workdir, capsys):
     assert "coeffs has shape (3,)" in capsys.readouterr().err
 
 
+def test_surrogate_of_another_germ_dimension_is_config_error(workdir, capsys):
+    # inputs cut to one column still agree with alpha, but not with m = 2
+    path = write_config(workdir / "gpdim.yaml", surrogates={"models": ["gp"]},
+                        paths={"outdir": "out_gpdim", "cache": None})
+    assert main(["train", "--config", str(path)]) == 0
+    target = surrogate_path(load_config(path), "gp", 0.05)
+    doc = json.loads(target.read_text())
+    doc["params"]["inputs"] = [row[:1] for row in doc["params"]["inputs"]]
+    target.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["assess", "--config", str(path)]) == 2
+    assert "inputs has shape" in capsys.readouterr().err
+
+
 def test_cache_inspect_torn_tail(workdir, capsys):
     path = write_config(workdir / "torn.yaml",
                         paths={"outdir": "out_torn", "cache": "c.jsonl"})
@@ -495,8 +509,8 @@ def test_spectrum_and_simulator_run_the_one_chain(workdir, monkeypatch):
     assert main(["spectrum", "--config", str(path)]) == 0
     assert hits == {"solve_steady": 1, "rightmost": 1}
     sim = build_simulator(load_config(path), 0.05, use_cache=False)
-    # the one-time nominal solve goes through the chain's steady solve too
+    # the one-time nominal solve is a run of the chain too, eigenpair and all
     assert sim.nominal is not None
-    assert hits == {"solve_steady": 2, "rightmost": 1}
+    assert hits == {"solve_steady": 2, "rightmost": 2}
     assert not sim.compute(np.zeros(2)).failed
-    assert hits == {"solve_steady": 3, "rightmost": 2}
+    assert hits == {"solve_steady": 3, "rightmost": 3}

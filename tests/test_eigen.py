@@ -195,6 +195,57 @@ def test_edge_guard_retry_reuses_the_factorization(monkeypatch):
     assert abs(result.eigenvalue - truth) < 1e-9
 
 
+def planted_problem(n, seed, rightmost_re=None):
+    """A planted pencil, whose two dense matrices share one pattern as
+    tracking needs, and its rightmost eigenvalue."""
+    J, M, truth = planted_pencil(n, seed, rightmost_re)
+    return EigenProblem(J, M), truth
+
+
+def test_pencil_matrices_share_one_pattern():
+    problem = channel_flow_pencil(5, 4, "q1", 0.02)
+    np.testing.assert_array_equal(problem.lhs.indices, problem.rhs.indices)
+    np.testing.assert_array_equal(problem.lhs.indptr, problem.rhs.indptr)
+
+
+def test_tracking_falls_back_to_the_sweep_when_the_value_drops(monkeypatch):
+    import flowstab.eigen as eigen
+
+    # the same planted spectrum moved left by 1: the pair nearest the
+    # nominal one drops by 1, far more than half its gap of 0.2-2.2 to the
+    # next value, so something else could be rightmost
+    nominal, _ = planted_problem(90, 4, rightmost_re=0.5)
+    problem, truth = planted_problem(90, 4, rightmost_re=-0.5)
+    near = rightmost(nominal, k=24, seed=0)
+    asked = []
+    original = eigen.eigs
+    monkeypatch.setattr(eigen, "eigs", lambda op, **kwargs:
+                        asked.append(kwargs["k"]) or original(op, **kwargs))
+    got = rightmost(problem, k=24, seed=0, near=near)
+    # one tracked Arnoldi run, then the sweep
+    assert asked[:2] == [1, 24]
+    want = rightmost(problem, k=24, seed=0)
+    assert (got.method, got.k) == (want.method, want.k) == ("arnoldi", 24)
+    assert got.eigenvalue == want.eigenvalue
+    np.testing.assert_array_equal(got.candidates, want.candidates)
+    assert abs(got.eigenvalue - truth) < 1e-9
+
+
+def test_tracking_from_a_complex_pair_returns_its_upper_member():
+    problem, truth = planted_problem(90, 5)
+    perturbation = 1e-3 * np.random.default_rng(0).standard_normal((90, 90))
+    nominal = EigenProblem(sparse.csr_matrix(problem.lhs.toarray()
+                                             + perturbation), problem.rhs)
+    near = rightmost(nominal, k=24, seed=0)
+    assert near.eigenvalue.imag > 0
+    got = rightmost(problem, k=24, seed=0, near=near)
+    assert (got.method, got.k) == ("tracked", 1)
+    assert got.eigenvalue.imag > 0
+    assert abs(got.eigenvalue - rightmost(problem, k=24, seed=0).eigenvalue) <= 1e-9
+    assert abs(got.eigenvalue - truth) <= 1e-9
+    assert got.residual <= 1e-8
+
+
 def test_dense_size_limit():
     J = sparse.eye(450, format="csr")
     with pytest.raises(EigenError):

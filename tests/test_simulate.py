@@ -17,12 +17,12 @@ from flowstab import simulate, steady
 from flowstab.assembly import SpatialField
 from flowstab.config import build_simulator, load_config
 from flowstab.eigen import build_problem, rightmost
-from flowstab.errors import ConfigError, ConvergenceError
+from flowstab.errors import ConfigError, ConvergenceError, EigenError
 from flowstab.meshes import build_space, channel_mesh, obstacle_mesh
 from flowstab.randomfield import kl_decompose
-from flowstab.simulate import (EvalCache, McResult, SampleRecord, SampleSet,
-                               Simulator, family_distribution, monte_carlo,
-                               stability)
+from flowstab.simulate import (EvalCache, McResult, Nominal, SampleRecord,
+                               SampleSet, Simulator, family_distribution,
+                               monte_carlo, stability)
 from flowstab.steady import FlowState, build_operators, solve_steady
 from flowstab.viscosity import build_affine, build_lognormal
 
@@ -360,18 +360,24 @@ def test_eval_cache_rejects_lines_that_are_not_records(tmp_path, line, last):
 ])
 def test_warm_start_stays_on_the_cold_eigenvalue_at_tail_germs(name, germs):
     # |xi| ~ 3 for the Hermite germs and the corners of the Legendre box:
-    # the samples furthest from the nominal state the warm start begins at
+    # the samples furthest from the nominal state and eigenpair that the
+    # warm start and the tracked eigensolve begin at
     sim = build_simulator(load_config(CONFIGS / f"{name}.yaml"), 0.10,
                           use_cache=False)
     for xi in germs:
         viscosity = sim.model.evaluate(np.array(xi))
         warm_steady, warm = sim.solve(viscosity)
-        # no start: the cold Stokes -> Picard -> Newton path
+        # no start: the cold Stokes -> Picard -> Newton path and the sweep
         cold_steady, cold = stability(sim.mesh, sim.space, viscosity,
                                       sim.settings, sim.k, sim.seed)
         assert warm_steady.trace[0]["kind"] == "warm", xi
         assert len(warm_steady.trace) < len(cold_steady.trace), xi
         assert abs(warm.eigenvalue - cold.eigenvalue) <= 1e-9, xi
+        # the origin sweep on the same steady state
+        ops = build_operators(sim.mesh, sim.space, viscosity)
+        sweep = rightmost(build_problem(ops, warm_steady), sim.k, sim.seed)
+        assert (warm.method, sweep.method) == ("tracked", "arnoldi"), xi
+        assert abs(warm.eigenvalue - sweep.eigenvalue) <= 1e-9, xi
 
 
 #: rightmost eigenvalues at the tail germs (CoV 0.10, warm start) as the
@@ -400,14 +406,16 @@ def test_tail_germ_eigenvalues_match_recorded_values(name):
 @pytest.mark.parametrize("spoil", ["nan", "far"])
 def test_failed_warm_start_gives_the_cold_record(toy, spoil):
     sim = make_sim(toy)
-    nominal = sim.nominal
+    state = sim.nominal.state
     if spoil == "nan":
-        sim.nominal = FlowState(np.full_like(nominal.velocity, np.nan),
-                                nominal.pressure)
+        spoiled = FlowState(np.full_like(state.velocity, np.nan),
+                            state.pressure)
     else:
-        velocity = nominal.velocity.copy()
+        velocity = state.velocity.copy()
         velocity[sim.space.interior] *= 10.0
-        sim.nominal = FlowState(velocity, nominal.pressure)
+        spoiled = FlowState(velocity, state.pressure)
+    # no nominal eigenpair on either side: both sweep
+    sim.nominal = Nominal(spoiled, None)
     cold = make_sim(toy)
     cold.nominal = None
     xi = [0.3, -0.4]
@@ -435,6 +443,31 @@ def test_failed_nominal_leaves_every_sample_cold(toy, monkeypatch):
     assert result.n_failed == 0
 
 
+def test_failed_nominal_eigensolve_leaves_every_sample_on_the_sweep(
+        toy, monkeypatch):
+    sim = make_sim(toy)
+    original = simulate.rightmost
+    nears = []
+
+    def nominal_fails(problem, k=24, seed=0, near=None):
+        nears.append(near)
+        if len(nears) == 1:
+            raise EigenError("nominal eigensolve failed")
+        return original(problem, k, seed, near)
+
+    monkeypatch.setattr(simulate, "rightmost", nominal_fails)
+    samples = SampleSet.draw(3, 2, "uniform", seed=6)
+    result = monte_carlo(sim, samples)
+    # the nominal steady state still starts every sample
+    assert sim.nominal.state is not None and sim.nominal.eigen is None
+    assert nears == [None] * 4
+    monkeypatch.setattr(simulate, "rightmost", original)
+    sweep = make_sim(toy)
+    sweep.nominal = Nominal(sweep.nominal.state, None)
+    assert monte_carlo(sweep, samples).records == result.records
+    assert result.n_failed == 0
+
+
 def test_all_cached_monte_carlo_never_solves(toy, tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     sim = make_sim(toy)
@@ -445,9 +478,10 @@ def test_all_cached_monte_carlo_never_solves(toy, tmp_path, monkeypatch):
     assert sim.__dict__["nominal"] is not None
 
     def no_solve(*args, **kwargs):
-        raise AssertionError("solve_steady called on an all-cached run")
+        raise AssertionError("a solver was called on an all-cached run")
 
     monkeypatch.setattr(simulate, "solve_steady", no_solve)
+    monkeypatch.setattr(simulate, "rightmost", no_solve)
     fresh = make_sim(toy)
     fresh.attach_cache(path)
     for workers in (1, 2):

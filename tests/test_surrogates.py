@@ -298,7 +298,7 @@ def test_serialization_round_trips(grid29, tmp_path):
     for tag, s in (("sc", sc), ("gp", gp), ("nn", nn)):
         path = tmp_path / f"{tag}.json"
         save_surrogate(s, path, provenance={"note": "round-trip"})
-        loaded = load_surrogate(path)
+        loaded = load_surrogate(path, 2)
         assert type(loaded) is type(s)
         np.testing.assert_allclose(loaded.evaluate(pts), s.evaluate(pts),
                                    rtol=1e-12, atol=1e-12)
@@ -306,7 +306,7 @@ def test_serialization_round_trips(grid29, tmp_path):
         again = tmp_path / f"{tag}_again.json"
         save_surrogate(loaded, again, provenance={"note": "round-trip"})
         assert again.read_bytes() == path.read_bytes()
-    reloaded = load_surrogate(tmp_path / "gp.json")
+    reloaded = load_surrogate(tmp_path / "gp.json", 2)
     np.testing.assert_allclose(reloaded.variance(pts), gp.variance(pts),
                                rtol=1e-9, atol=1e-12)
 
@@ -321,7 +321,7 @@ def test_sc_file_with_imaginary_channel_loads(grid29, tmp_path, imag):
     assert "imag_coeffs" not in doc["params"]
     doc["params"]["imag_coeffs"] = imag
     path.write_text(json.dumps(doc))
-    np.testing.assert_array_equal(load_surrogate(path).coeffs, sc.coeffs)
+    np.testing.assert_array_equal(load_surrogate(path, 2).coeffs, sc.coeffs)
 
 
 def test_load_rejects_foreign_and_corrupt_files(grid29, tmp_path):
@@ -339,7 +339,7 @@ def test_load_rejects_foreign_and_corrupt_files(grid29, tmp_path):
     for name, body in cases.items():
         path.write_text(body)
         with pytest.raises(ConfigError):
-            load_surrogate(path)
+            load_surrogate(path, 2)
 
 
 @pytest.mark.parametrize("kind,name,cut", [
@@ -361,4 +361,23 @@ def test_load_rejects_arrays_of_the_wrong_shape(grid29, tmp_path, kind, name,
     doc["params"][name] = cut(doc["params"][name])
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=f"{name} has shape"):
-        load_surrogate(path)
+        load_surrogate(path, 2)
+
+
+def test_load_rejects_a_surrogate_of_another_germ_dimension(grid29, tmp_path):
+    ts = TrainingSet.from_samples(grid29.nodes, np.sin(grid29.nodes[:, 0]))
+    fitted = {"sc": sc_train(grid29, ts.targets, 3), "gp": gp_train(ts),
+              "nn": nn_train(ts, seed=0)}
+    for kind, surrogate in fitted.items():
+        path = tmp_path / f"{kind}.json"
+        save_surrogate(surrogate, path)
+        load_surrogate(path, 2)
+        with pytest.raises(ConfigError, match="not .*3"):
+            load_surrogate(path, 3)
+    # GP inputs cut to one column still agree with alpha, but not with m
+    doc = json.loads((tmp_path / "gp.json").read_text())
+    doc["params"]["inputs"] = [row[:1] for row in doc["params"]["inputs"]]
+    (tmp_path / "gp.json").write_text(json.dumps(doc))
+    load_surrogate(tmp_path / "gp.json", 1)
+    with pytest.raises(ConfigError, match=r"inputs has shape \(29, 1\)"):
+        load_surrogate(tmp_path / "gp.json", 2)
