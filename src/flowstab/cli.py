@@ -33,7 +33,7 @@ from .metrics import Report, build_report, metrics_csv
 from .quadrature import smolyak
 from .simulate import SampleSet, Simulator, monte_carlo, read_cache, stability
 from .surrogates import (MIN_DESIGN, TrainingSet, gp_train, load_surrogate,
-                         nn_train, save_surrogate, sc_train)
+                         nn_train, read_surrogate, save_surrogate, sc_train)
 
 
 def surrogate_path(config: ExperimentConfig, name: str, cov: float) -> Path:
@@ -106,16 +106,20 @@ def surrogate_provenance(config: ExperimentConfig, sim: Simulator) -> dict:
 def ensure_surrogates(config: ExperimentConfig, sim: Simulator,
                       workers: int = 1) -> dict:
     """Load the trained surrogates, or train them all again when a file is
-    missing or its stored provenance is not what `train` would write now."""
+    missing or its stored provenance is not what `train` would write now.
+
+    Provenance is compared before anything is loaded, so a stale file is
+    retrained whatever else it holds; a current one that is malformed, or
+    a file that is not JSON, is a :class:`ConfigError`."""
     paths = {name: surrogate_path(config, name, sim.model.cov)
              for name in config.models}
     if all(path.exists() for path in paths.values()):
-        loaded = {name: load_surrogate(path, config.m)
-                   for name, path in paths.items()}
+        docs = {name: read_surrogate(path) for name, path in paths.items()}
         want = surrogate_provenance(config, sim)
-        if all(json.loads(path.read_text()).get("provenance") == want
-               for path in paths.values()):
-            return loaded
+        if all(isinstance(doc, dict) and doc.get("provenance") == want
+               for doc in docs.values()):
+            return {name: load_surrogate(path, config.m, docs[name])
+                    for name, path in paths.items()}
     return train_surrogates(config, sim, workers=workers)
 
 

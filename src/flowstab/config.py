@@ -1,10 +1,11 @@
 """Experiment configuration: schema, validation, and object builders.
 
 A config file is a single YAML document.  Parsing is fail-closed: unknown
-keys anywhere are rejected, types are checked, and every seed must be
-spelled out so reruns are reproducible by construction.  Most numeric
-settings default per benchmark; the resolved form (with every default
-filled in) is what gets embedded into output files.
+keys anywhere are rejected, types and lower bounds are checked, and every
+seed must be spelled out so reruns are reproducible by construction.  One
+table, ``_SCHEMA``, states each setting's type, default and lowest value;
+the resolved form (with every default filled in) is what gets embedded
+into output files.
 """
 
 from __future__ import annotations
@@ -31,12 +32,46 @@ BENCHMARK_FAMILY = {"obstacle": "hermite", "step": "legendre"}
 #: correlation lengths as fractions of domain width / height
 _CORR = {"obstacle": (0.25, 0.25), "step": (0.125, 0.25)}
 
-_DEFAULT_NU1 = {"obstacle": 5.36193e-3, "step": 4.5455e-3}
+#: the defaults that depend on the benchmark
+_BENCHMARK_DEFAULTS = {"obstacle": {"length": 8.0, "nu1": 5.36193e-3},
+                       "step": {"length": 30.0, "nu1": 4.5455e-3}}
 
 
 def cov_tag(cov: float) -> str:
     """Tag naming the output files of one CoV setting, e.g. ``cov10pct``."""
     return f"cov{100.0 * cov:g}pct"
+
+
+_NUM = (int, float)
+
+#: default of a key that every config sets
+_REQUIRED = object()
+
+#: default of a key whose default depends on the benchmark
+_BY_BENCHMARK = object()
+
+#: every setting: section -> key -> (types, default, lowest value or None)
+_SCHEMA = {
+    "mesh": {"refine": ((int,), 1, 1),
+             "length": (_NUM, _BY_BENCHMARK, None),
+             "stretch": (_NUM, 1.0, None)},
+    "viscosity": {"nu1": (_NUM, _BY_BENCHMARK, None),
+                  "covs": ((list, tuple, int, float), _REQUIRED, None),
+                  "m": ((int,), _REQUIRED, 1),
+                  "p": ((int,), 3, 0),
+                  "level": ((int,), 4, 1)},
+    "solver": {"picard_steps": ((int,), 6, 0),
+               "newton_steps": ((int,), 15, 0)},
+    "eigen": {"k": ((int,), 24, 1),
+              "seed": ((int,), _REQUIRED, 0)},
+    "surrogates": {"models": ((list, tuple), list(SURROGATE_NAMES), None),
+                   "stride": ((int,), 1, 1),
+                   "nn_seed": ((int,), 0, 0)},  # required when models lists nn
+    "assess": {"n_mc": ((int,), _REQUIRED, 1),
+               "sample_seed": ((int,), _REQUIRED, 0)},
+    "paths": {"outdir": ((str,), "out", None),
+              "cache": ((str, type(None)), "cache.jsonl", None)},
+}
 
 
 @dataclass(frozen=True)
@@ -72,52 +107,44 @@ class ExperimentConfig:
         return family_distribution(self.family)
 
     def resolved(self) -> dict:
-        """Every setting made explicit, for embedding into outputs."""
-        return {
-            "benchmark": self.benchmark,
-            "mesh": {"refine": self.refine, "length": self.length,
-                     "stretch": self.stretch},
-            "viscosity": {"nu1": self.nu1, "covs": list(self.covs),
-                          "m": self.m, "p": self.p, "level": self.level},
-            "solver": {"picard_steps": self.solver.picard_steps,
-                       "newton_steps": self.solver.newton_steps},
-            "eigen": {"k": self.k, "seed": self.eigen_seed},
-            "surrogates": {"models": list(self.models), "stride": self.stride,
-                           "nn_seed": self.nn_seed},
-            "assess": {"n_mc": self.n_mc, "sample_seed": self.sample_seed},
-        }
+        """Every setting but the paths made explicit, for embedding into
+        outputs, in `_SCHEMA` order."""
+        values = {**vars(self), **vars(self.solver), "seed": self.eigen_seed,
+                  "covs": list(self.covs), "models": list(self.models)}
+        return {"benchmark": self.benchmark,
+                **{name: {key: values[key] for key in rows}
+                   for name, rows in _SCHEMA.items() if name != "paths"}}
 
 
-def _section(data: dict, name: str, allowed: dict) -> dict:
-    """Pull one mapping section, rejecting unknown keys and bad types."""
-    raw = data.get(name, {})
+def _section(data: dict, name: str, defaults: dict) -> dict:
+    """Section `name` of `data` checked against its `_SCHEMA` rows, every
+    missing key set to its default (`defaults` holds the per-benchmark
+    ones)."""
+    raw = data.get(name)
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
-    unknown = set(raw) - set(allowed)
+    rows = _SCHEMA[name]
+    unknown = set(raw) - set(rows)
     if unknown:
         raise ConfigError(
             f"unknown keys in {name!r}: {', '.join(sorted(unknown))}")
     out = {}
-    for key, (types, default) in allowed.items():
-        if key in raw:
-            value = raw[key]
-            # YAML reads yes/on/true as booleans, which are ints to Python
-            if types is not None and (isinstance(value, bool)
-                                      or not isinstance(value, types)):
-                raise ConfigError(
-                    f"{name}.{key} has the wrong type "
-                    f"({type(value).__name__})")
-            out[key] = value
-        else:
-            out[key] = default
+    for key, (types, default, low) in rows.items():
+        if key not in raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"{name}.{key} is required")
+            out[key] = defaults[key] if default is _BY_BENCHMARK else default
+            continue
+        value = out[key] = raw[key]
+        # YAML reads yes/on/true as booleans, which are ints to Python
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(
+                f"{name}.{key} has the wrong type ({type(value).__name__})")
+        if low is not None and value < low:
+            raise ConfigError(f"{name}.{key} must be >= {low}")
     return out
-
-
-_REQUIRED = object()
-
-_NUM = (int, float)
 
 
 def _finite(value) -> bool:
@@ -126,51 +153,27 @@ def _finite(value) -> bool:
             and math.isfinite(value))
 
 
-def _at_least(name: str, section: dict, bounds: dict) -> None:
-    """Reject integer settings of section `name` below their lower bound."""
-    for key, low in bounds.items():
-        if section[key] < low:
-            raise ConfigError(f"{name}.{key} must be >= {low}")
-
-
 def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    top_allowed = {"benchmark", "mesh", "viscosity", "solver", "eigen",
-                   "surrogates", "assess", "paths"}
-    unknown = set(data) - top_allowed
+    unknown = set(data) - {"benchmark", *_SCHEMA}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
 
     benchmark = data.get("benchmark")
     if benchmark not in BENCHMARKS:
         raise ConfigError(f"benchmark must be one of {BENCHMARKS}, got {benchmark!r}")
+    mesh, visc, solver, eigen, sur, assess, paths = (
+        _section(data, name, _BENCHMARK_DEFAULTS[benchmark])
+        for name in _SCHEMA)
 
-    default_length = 8.0 if benchmark == "obstacle" else 30.0
-    mesh = _section(data, "mesh", {
-        "refine": ((int,), 1),
-        "length": (_NUM, default_length),
-        "stretch": (_NUM, 1.0),
-    })
-    _at_least("mesh", mesh, {"refine": 1})
+    # the rules a schema row cannot state
     for key in ("length", "stretch"):
         if not _finite(mesh[key]):
             raise ConfigError(
                 f"mesh.{key} must be a finite number, got {mesh[key]!r}")
     if benchmark == "step" and mesh["stretch"] != 1.0:
         raise ConfigError("mesh.stretch only applies to the obstacle benchmark")
-
-    visc = _section(data, "viscosity", {
-        "nu1": (_NUM, _DEFAULT_NU1[benchmark]),
-        "covs": ((list, tuple, int, float), _REQUIRED),
-        "m": ((int,), _REQUIRED),
-        "p": ((int,), 3),
-        "level": ((int,), 4),
-    })
-    for key in ("covs", "m"):
-        if visc[key] is _REQUIRED:
-            raise ConfigError(f"viscosity.{key} is required")
-    _at_least("viscosity", visc, {"m": 1, "p": 0, "level": 1})
     if not (_finite(visc["nu1"]) and visc["nu1"] > 0):
         raise ConfigError(
             f"viscosity.nu1 must be a finite number > 0, got {visc['nu1']!r}")
@@ -187,77 +190,28 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
     if clashes:
         raise ConfigError(
             f"viscosity.covs share output file tags: {', '.join(clashes)}")
-
-    solver_raw = _section(data, "solver", {
-        "picard_steps": ((int,), 6),
-        "newton_steps": ((int,), 15),
-    })
-    _at_least("solver", solver_raw, {"picard_steps": 0, "newton_steps": 0})
-    solver = SolverSettings(solver_raw["picard_steps"],
-                            solver_raw["newton_steps"])
-
-    eigen = _section(data, "eigen", {
-        "k": ((int,), 24),
-        "seed": ((int,), _REQUIRED),
-    })
-    if eigen["seed"] is _REQUIRED:
-        raise ConfigError("eigen.seed is required (all seeds are explicit)")
-    _at_least("eigen", eigen, {"k": 1, "seed": 0})
-
-    sur = _section(data, "surrogates", {
-        "models": ((list, tuple), list(SURROGATE_NAMES)),
-        "stride": ((int,), 1),
-        "nn_seed": ((int,), _REQUIRED),
-    })
     models = tuple(sur["models"])
     if not all(isinstance(name, str) for name in models):
         raise ConfigError(f"surrogates.models must list names, got {models!r}")
     bad = set(models) - set(SURROGATE_NAMES)
     if bad:
         raise ConfigError(f"unknown surrogate models: {', '.join(sorted(bad))}")
-    if sur["nn_seed"] is _REQUIRED:
-        if "nn" in models:
-            raise ConfigError("surrogates.nn_seed is required")
-        sur["nn_seed"] = 0
-    _at_least("surrogates", sur, {"stride": 1, "nn_seed": 0})
-
-    assess = _section(data, "assess", {
-        "n_mc": ((int,), _REQUIRED),
-        "sample_seed": ((int,), _REQUIRED),
-    })
-    for key in ("n_mc", "sample_seed"):
-        if assess[key] is _REQUIRED:
-            raise ConfigError(f"assess.{key} is required")
-    _at_least("assess", assess, {"n_mc": 1, "sample_seed": 0})
-
-    paths = _section(data, "paths", {
-        "outdir": ((str,), "out"),
-        "cache": ((str, type(None)), "cache.jsonl"),
-    })
-    base = Path(base_dir) if base_dir is not None else Path(".")
-    outdir = base / paths["outdir"]
+    if "nn" in models and "nn_seed" not in (data.get("surrogates") or {}):
+        raise ConfigError("surrogates.nn_seed is required")
+    if paths["cache"] is not None and Path(paths["cache"]).name in ("", ".", ".."):
+        raise ConfigError(
+            f"paths.cache must name a file, got {paths['cache']!r}")
 
     return ExperimentConfig(
-        benchmark=benchmark,
-        refine=mesh["refine"],
-        length=float(mesh["length"]),
-        stretch=float(mesh["stretch"]),
-        nu1=float(visc["nu1"]),
-        covs=covs,
-        m=visc["m"],
-        p=visc["p"],
+        benchmark=benchmark, refine=mesh["refine"],
+        length=float(mesh["length"]), stretch=float(mesh["stretch"]),
+        nu1=float(visc["nu1"]), covs=covs, m=visc["m"], p=visc["p"],
         level=visc["level"],
-        solver=solver,
-        k=eigen["k"],
-        eigen_seed=eigen["seed"],
-        models=models,
-        stride=sur["stride"],
-        nn_seed=sur["nn_seed"],
-        n_mc=assess["n_mc"],
-        sample_seed=assess["sample_seed"],
-        outdir=outdir,
-        cache=paths["cache"],
-    )
+        solver=SolverSettings(solver["picard_steps"], solver["newton_steps"]),
+        k=eigen["k"], eigen_seed=eigen["seed"],
+        models=models, stride=sur["stride"], nn_seed=sur["nn_seed"],
+        n_mc=assess["n_mc"], sample_seed=assess["sample_seed"],
+        outdir=Path(base_dir or ".") / paths["outdir"], cache=paths["cache"])
 
 
 def load_config(path) -> ExperimentConfig:

@@ -124,6 +124,7 @@ def _select(problem: EigenProblem, values: np.ndarray, vecs: np.ndarray,
     The two members of a complex pair tie on the real part, so the solver's
     ordering would pick one; the member with positive imaginary part is
     returned, with its eigenvector to match."""
+    values = _positive_zero(values)
     drop = _in_cluster(problem, values)
     if drop.all():
         raise EigenError(empty)
@@ -134,6 +135,12 @@ def _select(problem: EigenProblem, values: np.ndarray, vecs: np.ndarray,
     return EigenResult(complex(value), vec, np.sort_complex(values[keep]),
                        np.sort_complex(values[drop]),
                        _residual(problem, value, vec), k, method)
+
+
+def _positive_zero(values: np.ndarray) -> np.ndarray:
+    """`values` with every zero imaginary part +0.0: ``1/mu`` of a real
+    ``mu`` in complex arithmetic can give -0.0, which would be reported."""
+    return np.where(values.imag == 0.0, values.real + 0j, values)
 
 
 def _in_cluster(problem: EigenProblem, values) -> np.ndarray:
@@ -239,6 +246,7 @@ def _tracked(problem: EigenProblem, near: EigenResult) -> EigenResult | None:
                            tol=_TRACK_TOL)
     except ArpackNoConvergence:
         return None
+    # sigma's imaginary part is +0.0 or nonzero, so the sum's is never -0.0
     value, vec = _upper(sigma + 1.0 / theta[0], vecs[:, 0])
     residual = _residual(problem, value, vec)
     if (residual > _TRACK_RESIDUAL or _in_cluster(problem, value)

@@ -502,18 +502,26 @@ def save_surrogate(surrogate, path, provenance: dict | None = None) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def load_surrogate(path, m: int):
+def read_surrogate(path):
+    """The JSON document of a surrogate file, unchecked; a file that is
+    not JSON raises :class:`ConfigError`."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}")
+
+
+def load_surrogate(path, m: int, doc=None):
     """Rebuild a surrogate saved by ``save_surrogate``, for a study whose
-    germs have `m` components.
+    germs have `m` components; `doc` is the file's document when the
+    caller has read it already (see :func:`read_surrogate`).
 
     Anything else (a corrupt file, another format or version, an unknown
     kind, missing fields, arrays of the wrong shape, another germ
     dimension) raises :class:`ConfigError`.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}")
+    if doc is None:
+        doc = read_surrogate(path)
     if (not isinstance(doc, dict) or doc.get("format") != _FORMAT
             or doc.get("version") != _VERSION):
         raise ConfigError(f"unrecognized surrogate document in {path}")

@@ -7,6 +7,7 @@ setup small enough that a full train/assess cycle stays in seconds.
 import argparse
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -114,8 +115,13 @@ def test_spectrum_of_the_desk_configs(workdir, capsys, name, rightmost):
     path = workdir / f"{name}.yaml"
     path.write_text(yaml.safe_dump(data))
     assert main(["spectrum", "--config", str(path)]) == 0
-    assert f"rightmost: {rightmost} " in capsys.readouterr().out
+    # a real eigenvalue reads +0.0i, never -0.0i
+    assert (f"rightmost: {rightmost} +0.000000e+00i"
+            in capsys.readouterr().out)
+    payload = json.loads((workdir / f"out_{name}" / "spectrum.json").read_text())
+    assert math.copysign(1.0, payload["rightmost"]["im"]) == 1.0
     rows = list(csv.reader((workdir / f"out_{name}" / "spectrum.csv").open()))
+    assert not [r for r in rows[1:] if r[1].startswith("-0.0")]
     # the next Ritz values to the right come with it
     assert [r[2] for r in rows[1:]].count("candidate") >= 3
 
@@ -128,6 +134,18 @@ def test_invalid_config_exit_2(workdir):
     bad = workdir / "bad.yaml"
     bad.write_text("benchmark: obstacle\nviscosity: {covs: [0.1]}\n")
     assert main(["train", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", [["train"], ["cache", "inspect"]],
+                         ids=["train", "cache-inspect"])
+def test_cache_that_names_the_outdir_exit_2(workdir, capsys, command):
+    # a cache path of "." would be written as a file named like the outdir
+    path = write_config(workdir / "dotcache.yaml",
+                        paths={"outdir": "out_dotcache", "cache": "."})
+    argv = [command[0], "--config", str(path), *command[1:]]
+    assert main(argv) == 2
+    assert "paths.cache must name a file" in capsys.readouterr().err
+    assert not (workdir / "out_dotcache").exists()
 
 
 @pytest.mark.parametrize("name, section, values, match", [
@@ -438,6 +456,24 @@ def test_assess_retrains_stale_surrogates(workdir):
                 == (workdir / "out_fresh" / name).read_bytes())
     doc = json.loads(surrogate_path(load_config(stale), "sc", 0.05).read_text())
     assert doc["provenance"]["config"]["viscosity"]["nu1"] == 6.0e-3
+
+
+def test_assess_retrains_a_stale_surrogate_it_cannot_load(workdir):
+    # provenance is compared before the file is loaded: a stale file is
+    # retrained even when it could not be rebuilt
+    path = write_config(workdir / "stalebad.yaml",
+                        surrogates={"models": ["sc"]},
+                        assess={"n_mc": 2, "sample_seed": 7},
+                        paths={"outdir": "out_stalebad", "cache": "c.jsonl"})
+    assert main(["train", "--config", str(path), "--workers", "1"]) == 0
+    target = surrogate_path(load_config(path), "sc", 0.05)
+    fresh = target.read_bytes()
+    doc = json.loads(fresh)
+    del doc["params"]["coeffs"]
+    doc["provenance"]["simulator"] = "an older stability chain"
+    target.write_text(json.dumps(doc))
+    assert main(["assess", "--config", str(path), "--workers", "1"]) == 0
+    assert target.read_bytes() == fresh
 
 
 def test_assess_after_train_loads_without_refitting(workdir, monkeypatch):

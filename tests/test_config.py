@@ -6,12 +6,14 @@ from pathlib import Path
 import pytest
 import yaml
 
+from flowstab import config as config_module
 from flowstab.config import (build_kl, build_mesh, build_model,
                              build_simulator, build_space_for,
                              config_from_dict, load_config)
 from flowstab.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def minimal(**overrides):
@@ -33,6 +35,41 @@ def test_shipped_configs_parse():
         assert cfg.m == 2 and cfg.p == 3 and cfg.level == 4
         assert cfg.models == ("sc", "gp", "nn")
         json.dumps(cfg.resolved())     # embeddable
+
+
+# the resolved configs that every output file embeds: a change to either
+# changes the bytes of every output
+_RESOLVED = {
+    "obstacle_desk": {
+        "benchmark": "obstacle",
+        "mesh": {"refine": 1, "length": 8.0, "stretch": 1.0},
+        "viscosity": {"nu1": 0.00536193, "covs": [0.01, 0.1], "m": 2,
+                      "p": 3, "level": 4},
+        "solver": {"picard_steps": 6, "newton_steps": 15},
+        "eigen": {"k": 24, "seed": 0},
+        "surrogates": {"models": ["sc", "gp", "nn"], "stride": 1,
+                       "nn_seed": 0},
+        "assess": {"n_mc": 200, "sample_seed": 101},
+    },
+    "step_full": {
+        "benchmark": "step",
+        "mesh": {"refine": 2, "length": 30.0, "stretch": 1.0},
+        "viscosity": {"nu1": 0.0045455, "covs": [0.01, 0.1], "m": 2,
+                      "p": 3, "level": 4},
+        "solver": {"picard_steps": 20, "newton_steps": 20},
+        "eigen": {"k": 24, "seed": 0},
+        "surrogates": {"models": ["sc", "gp", "nn"], "stride": 1,
+                       "nn_seed": 0},
+        "assess": {"n_mc": 1000, "sample_seed": 101},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RESOLVED))
+def test_resolved_config_is_pinned(name):
+    # key order included: json.dumps of this dict is written into outputs
+    resolved = load_config(CONFIG_DIR / f"{name}.yaml").resolved()
+    assert json.dumps(resolved) == json.dumps(_RESOLVED[name])
 
 
 def test_benchmark_implies_family():
@@ -158,6 +195,42 @@ def test_out_of_range_values_rejected(section, values, match):
     data[section] = {**data.get(section, {}), **values}
     with pytest.raises(ConfigError, match=match):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("cache", ["", ".", "..", "sub/.."])
+def test_cache_that_names_no_file_rejected(cache):
+    # the cache file would take the place of the output directory
+    with pytest.raises(ConfigError, match="paths.cache must name a file"):
+        config_from_dict(minimal(paths={"cache": cache}))
+
+
+def readme_settings() -> list:
+    """(setting, type, default, lowest) of each row of the README's table
+    of settings, backticks dropped."""
+    lines = README.read_text().split("\n| setting ", 1)[1].split("\n\n")[0]
+    return [tuple(cell.strip().strip("`") for cell in line.strip("|").split("|"))
+            for line in lines.splitlines()[2:]]
+
+
+_TYPE_NAMES = {(int,): "integer", (int, float): "number",
+               (list, tuple, int, float): "number or list of numbers",
+               (list, tuple): "list of names", (str,): "string",
+               (str, type(None)): "string or null"}
+
+
+def test_readme_settings_table_matches_the_schema():
+    want = []
+    for section, rows in config_module._SCHEMA.items():
+        for key, (types, default, low) in rows.items():
+            if default is config_module._REQUIRED:
+                default = "required"
+            elif default is config_module._BY_BENCHMARK:
+                default = "per benchmark"
+            else:
+                default = json.dumps(default)
+            want.append((f"{section}.{key}", _TYPE_NAMES[types], default,
+                         "-" if low is None else str(low)))
+    assert readme_settings() == want
 
 
 def test_invalid_yaml_rejected(tmp_path):

@@ -246,6 +246,22 @@ def test_tracking_from_a_complex_pair_returns_its_upper_member():
     assert got.residual <= 1e-8
 
 
+def test_real_values_read_a_positive_zero_imaginary_part():
+    # 1/mu of ARPACK's complex output gives -0.0 for a real mu; every path
+    # reports a real value with +0.0, as printed and written
+    problem = channel_flow_pencil(5, 4, "q1", 0.02)
+    sweep = rightmost(problem)
+    for result in (sweep, dense_rightmost(problem),
+                   rightmost(problem, near=sweep)):
+        assert result.eigenvalue.imag == 0.0
+        values = np.concatenate([[result.eigenvalue], result.candidates,
+                                 result.excluded])
+        real = values[values.imag == 0.0]
+        assert (np.copysign(1.0, real.imag) == 1.0).all(), result.method
+    assert [sweep.method, rightmost(problem, near=sweep).method] == [
+        "arnoldi", "tracked"]
+
+
 def test_dense_size_limit():
     J = sparse.eye(450, format="csr")
     with pytest.raises(EigenError):
