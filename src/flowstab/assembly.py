@@ -112,13 +112,19 @@ def _cell_velocity(mesh: Mesh, velocity: np.ndarray) -> np.ndarray:
 def assemble_diffusion(mesh: Mesh, viscosity: SpatialField) -> np.ndarray:
     """Element matrices of ``integral( nu grad u : grad v )``, (n_cells, 9, 9),
     the same for both velocity components."""
-    qd = quad_data(mesh)
     nu = viscosity.values
-    if nu.shape != qd.qw.shape:
-        raise ValueError("viscosity field does not match the mesh quadrature")
     if not nu.min() > 0.0:
         raise PositivityError(f"viscosity must be positive, min is {nu.min():.3e}")
-    return np.einsum("eq,ekaq,ekbq->eab", qd.qw * nu, qd.dphi, qd.dphi)
+    return diffusion_kernel(mesh, nu)
+
+
+def diffusion_kernel(mesh: Mesh, coefficient: np.ndarray) -> np.ndarray:
+    """:func:`assemble_diffusion` for any coefficient sampled at the
+    quadrature points, (n_cells, 9), signed ones included."""
+    qd = quad_data(mesh)
+    if coefficient.shape != qd.qw.shape:
+        raise ValueError("viscosity field does not match the mesh quadrature")
+    return np.einsum("eq,ekaq,ekbq->eab", qd.qw * coefficient, qd.dphi, qd.dphi)
 
 
 def assemble_velocity_mass(mesh: Mesh) -> np.ndarray:

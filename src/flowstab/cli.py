@@ -184,10 +184,9 @@ def cmd_solve(args) -> int:
         sim.nominal = None
 
     config.outdir.mkdir(parents=True, exist_ok=True)
-    visc = sim.model.evaluate(xi)
     start = time.perf_counter()
     try:
-        steady, eig = sim.solve(visc)
+        steady, eig = sim.solve(xi)
     except ConvergenceError as exc:
         trace_path = config.outdir / "solve_trace.json"
         trace_path.write_text(json.dumps(
@@ -284,6 +283,8 @@ def cmd_cache(args) -> int:
         print("cache disabled in config")
         return 0
     path = config.outdir / config.cache
+    if path.is_dir():
+        raise ConfigError(f"{path}: the cache path is a directory")
     if args.cache_action == "clear":
         if path.exists():
             path.unlink()

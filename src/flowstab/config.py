@@ -11,6 +11,7 @@ into output files.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -198,9 +199,16 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
         raise ConfigError(f"unknown surrogate models: {', '.join(sorted(bad))}")
     if "nn" in models and "nn_seed" not in (data.get("surrogates") or {}):
         raise ConfigError("surrogates.nn_seed is required")
-    if paths["cache"] is not None and Path(paths["cache"]).name in ("", ".", ".."):
-        raise ConfigError(
-            f"paths.cache must name a file, got {paths['cache']!r}")
+    outdir = Path(base_dir or ".") / paths["outdir"]
+    if paths["cache"] is not None:
+        # the cache file would take the place of the output directory or of
+        # a directory above it
+        where = Path(os.path.abspath(outdir / paths["cache"]))
+        home = Path(os.path.abspath(outdir))
+        if where == home or where in home.parents:
+            raise ConfigError(
+                f"paths.cache must name a file, got {paths['cache']!r}: that "
+                f"is the output directory or a directory above it")
 
     return ExperimentConfig(
         benchmark=benchmark, refine=mesh["refine"],
@@ -211,7 +219,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
         k=eigen["k"], eigen_seed=eigen["seed"],
         models=models, stride=sur["stride"], nn_seed=sur["nn_seed"],
         n_mc=assess["n_mc"], sample_seed=assess["sample_seed"],
-        outdir=Path(base_dir or ".") / paths["outdir"], cache=paths["cache"])
+        outdir=outdir, cache=paths["cache"])
 
 
 def load_config(path) -> ExperimentConfig:

@@ -67,11 +67,16 @@ def hermite_normalized(x: np.ndarray, nmax: int) -> np.ndarray:
     return out
 
 
-def legendre_normalized(x: np.ndarray, nmax: int) -> np.ndarray:
-    """Evaluate Legendre polynomials 0..nmax, orthonormal for density 1/2 on [-1,1].
+def hermite_normalized_derivative(x: np.ndarray, nmax: int) -> np.ndarray:
+    """Derivatives of :func:`hermite_normalized`, from ``h_n' = sqrt(n) h_{n-1}``."""
+    vals = hermite_normalized(x, nmax)
+    out = np.zeros_like(vals)
+    out[..., 1:] = np.sqrt(np.arange(1.0, nmax + 1)) * vals[..., :-1]
+    return out
 
-    Standard recurrence for P_n, then each degree is scaled by sqrt(2n+1).
-    """
+
+def _legendre(x: np.ndarray, nmax: int) -> np.ndarray:
+    """Legendre polynomials P_0..P_nmax by the standard recurrence."""
     x = np.asarray(x, dtype=float)
     raw = np.empty(x.shape + (nmax + 1,))
     raw[..., 0] = 1.0
@@ -79,11 +84,32 @@ def legendre_normalized(x: np.ndarray, nmax: int) -> np.ndarray:
         raw[..., 1] = x
     for n in range(1, nmax):
         raw[..., n + 1] = ((2 * n + 1) * x * raw[..., n] - n * raw[..., n - 1]) / (n + 1)
-    scale = np.sqrt(2.0 * np.arange(nmax + 1) + 1.0)
-    return raw * scale
+    return raw
 
 
-_EVAL_1D = {"hermite": hermite_normalized, "legendre": legendre_normalized}
+def legendre_normalized(x: np.ndarray, nmax: int) -> np.ndarray:
+    """Evaluate Legendre polynomials 0..nmax, orthonormal for density 1/2 on [-1,1].
+
+    Standard recurrence for P_n, then each degree is scaled by sqrt(2n+1).
+    """
+    return _legendre(x, nmax) * np.sqrt(2.0 * np.arange(nmax + 1) + 1.0)
+
+
+def legendre_normalized_derivative(x: np.ndarray, nmax: int) -> np.ndarray:
+    """Derivatives of :func:`legendre_normalized`, from the differentiated
+    recurrence ``P'_{n+1} = P'_{n-1} + (2n+1) P_n``."""
+    raw = _legendre(x, nmax)
+    out = np.zeros_like(raw)
+    if nmax >= 1:
+        out[..., 1] = 1.0
+    for n in range(1, nmax):
+        out[..., n + 1] = out[..., n - 1] + (2 * n + 1) * raw[..., n]
+    return out * np.sqrt(2.0 * np.arange(nmax + 1) + 1.0)
+
+
+#: family -> (values, derivatives) of the orthonormal polynomials 0..nmax
+_EVAL_1D = {"hermite": (hermite_normalized, hermite_normalized_derivative),
+            "legendre": (legendre_normalized, legendre_normalized_derivative)}
 
 
 @dataclass(frozen=True)
@@ -129,11 +155,29 @@ class GpcBasis:
         array, shape (n_pts, n_terms); row ``i`` holds all basis values at
         point ``i``.  Column 0 is identically 1.
         """
+        factors = self._factors(points, 0)
+        vals = np.ones(factors.shape[:1] + factors.shape[2:])
+        for j in range(self.dim):
+            vals *= factors[:, j]
+        return vals
+
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        """Exact partial derivatives of every basis function.
+
+        Returns an array of shape (n_pts, dim, n_terms): entry ``[i, j, k]``
+        is ``d psi_k / d xi_j`` at point ``i``.
+        """
+        vals, ders = self._factors(points, 0), self._factors(points, 1)
+        grad = np.empty(vals.shape[:1] + (self.dim,) + vals.shape[2:])
+        for j in range(self.dim):
+            grad[:, j] = np.prod(np.delete(vals, j, axis=1), axis=1) * ders[:, j]
+        return grad
+
+    def _factors(self, points: np.ndarray, order: int) -> np.ndarray:
+        """One-variable factors of every basis function, (n_pts, dim,
+        n_terms): values (`order` 0) or derivatives (`order` 1)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"points have {pts.shape[1]} columns, basis has dim {self.dim}")
-        one_d = _EVAL_1D[self.family](pts, self.degree)  # (n_pts, dim, degree+1)
-        vals = np.ones((pts.shape[0], self.n_terms))
-        for j in range(self.dim):
-            vals *= one_d[:, j, self.indices[:, j]]
-        return vals
+        one_d = _EVAL_1D[self.family][order](pts, self.degree)  # (n_pts, dim, degree+1)
+        return one_d[:, np.arange(self.dim), self.indices].swapaxes(1, 2)

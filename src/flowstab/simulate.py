@@ -25,11 +25,12 @@ from typing import Optional
 import numpy as np
 
 from .assembly import SpatialField
-from .errors import ConfigError, EigenError, PositivityError, SolverError
+from .errors import (ConfigError, EigenError, PositivityError,
+                     RankDeficiencyError, SolverError)
 from .eigen import EigenResult, build_problem, rightmost
 from .meshes import Mesh, MixedSpace
 from .steady import (FlowState, SolverSettings, SteadyResult, build_operators,
-                     solve_steady)
+                     solve_steady, tangent)
 from .viscosity import ViscosityModel
 
 DISTRIBUTIONS = ("normal", "uniform")
@@ -71,7 +72,8 @@ _one_blas_thread()
 #: 4: saddle matrices filled into one fixed pattern, which sums element
 #:    entries in a new order
 #: 5: the rightmost eigenvalue tracked from the nominal eigenpair
-ALGORITHM = 5
+#: 6: Newton from the tangent prediction of the steady state
+ALGORITHM = 6
 
 #: basis family -> sampling distribution of the germ
 FAMILY_DISTRIBUTION = {"hermite": "normal", "legendre": "uniform"}
@@ -216,8 +218,11 @@ def read_cache(path) -> tuple[list, int]:
     A run killed mid-append can leave a torn last line; an undecodable last
     line is skipped with a warning on stderr and does not count as whole.
     An undecodable line anywhere else, or any line that decodes to
-    something other than a record, means the file is corrupt.
+    something other than a record, means the file is corrupt, and a
+    directory at `path` is a configuration error.
     """
+    if Path(path).is_dir():
+        raise ConfigError(f"{path}: the cache path is a directory")
     lines = Path(path).read_bytes().splitlines(keepends=True)
     records, complete = [], 0
     for number, line in enumerate(lines, 1):
@@ -279,12 +284,24 @@ def stability(mesh: Mesh, space: MixedSpace, viscosity: SpatialField,
 
 @dataclass(frozen=True)
 class Nominal:
-    """The steady state and rightmost eigenpair at the germ ``xi = 0``,
-    from which every sample starts; `eigen` is ``None`` when the nominal
-    eigensolve failed, and samples then sweep for their eigenvalue."""
+    """The steady state, its tangent and the rightmost eigenpair at the
+    germ ``xi = 0``, from which every sample starts.  `tangent` holds the
+    derivatives of the state along each germ component (see
+    :func:`tangent`); it is ``None`` when the Jacobian did not factor, and
+    samples then start from `state` itself.  `eigen` is ``None`` when the
+    nominal eigensolve failed, and samples then sweep for their
+    eigenvalue."""
 
     state: FlowState
     eigen: Optional[EigenResult]
+    tangent: Optional[FlowState]
+
+    def start(self, xi: np.ndarray) -> FlowState:
+        """The first-order prediction of the steady state at germ `xi`."""
+        if self.tangent is None:
+            return self.state
+        return FlowState(self.state.velocity + xi @ self.tangent.velocity,
+                         self.state.pressure + xi @ self.tangent.pressure)
 
 
 @dataclass
@@ -338,25 +355,34 @@ class Simulator:
 
     @cached_property
     def nominal(self) -> Optional[Nominal]:
-        """The cold chain at the germ ``xi = 0``, computed on first use and
-        kept as vectors only.  ``None`` when its steady solve fails: every
-        sample then runs cold."""
+        """The cold chain at the germ ``xi = 0`` and the tangent of its
+        steady state, computed on first use and kept as vectors only.
+        ``None`` when its steady solve fails: every sample then runs
+        cold."""
+        xi = np.zeros(self.model.dim)
         try:
-            viscosity = self.model.evaluate(np.zeros(self.model.dim))
+            viscosity = self.model.evaluate(xi)
             steady, eig = stability(self.mesh, self.space, viscosity,
                                     self.settings, self.k, self.seed)
         except (PositivityError, SolverError):
             return None
         except EigenError as exc:
-            return Nominal(exc.steady.state, None)
-        return Nominal(steady.state, eig)
+            steady, eig = exc.steady, None
+        ops = build_operators(self.mesh, self.space, viscosity)
+        try:
+            slope = tangent(ops, steady, self.model.gradient(xi))
+        except RankDeficiencyError:
+            slope = None
+        return Nominal(steady.state, eig, slope)
 
-    def solve(self, viscosity: SpatialField) -> tuple[SteadyResult, EigenResult]:
-        """:func:`stability` under this simulator's mesh and settings,
-        started from :attr:`nominal`."""
+    def solve(self, xi) -> tuple[SteadyResult, EigenResult]:
+        """:func:`stability` at germ `xi` under this simulator's mesh and
+        settings, started from the prediction of :attr:`nominal`."""
+        xi = np.asarray(xi, dtype=float).ravel()
+        viscosity = self.model.evaluate(xi)
         start = near = None
         if self.nominal is not None:
-            start, near = self.nominal.state, self.nominal.eigen
+            start, near = self.nominal.start(xi), self.nominal.eigen
         return stability(self.mesh, self.space, viscosity, self.settings,
                          self.k, self.seed, start, near)
 
@@ -365,7 +391,7 @@ class Simulator:
         xi = np.asarray(xi, dtype=float).ravel()
         key = tuple(float(v) for v in xi)
         try:
-            steady, eig = self.solve(self.model.evaluate(xi))
+            steady, eig = self.solve(xi)
         except PositivityError as exc:
             note = f"viscosity: {exc}"
         except SolverError as exc:

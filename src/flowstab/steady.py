@@ -9,9 +9,9 @@ element matrices.  The residual is the right-hand side of the correction
 that leads to the next iterate.  The initial iterate is the Stokes
 solution, the first correction from the lift state (boundary values, zero
 pressure) with diffusion alone; or, when the caller hands in a start state
-(the steady state of a nearby viscosity field), that state, from which
-only Newton steps are taken; a start that fails falls back to the Stokes
-path.
+(the steady state of a nearby viscosity field, or its first-order
+prediction from :func:`tangent`), that state, from which only Newton steps
+are taken; a start that fails falls back to the Stokes path.
 
 Convergence is measured by the Euclidean norm of the reduced residual
 (interior velocity and all pressure rows) relative to the Stokes residual
@@ -29,7 +29,7 @@ from scipy.sparse.linalg import splu
 
 from .assembly import (SpatialField, assemble_convection, assemble_diffusion,
                        assemble_divergence, assemble_newton_derivative,
-                       assemble_velocity_mass, saddle_plan)
+                       assemble_velocity_mass, diffusion_kernel, saddle_plan)
 from .errors import ConvergenceError, RankDeficiencyError, SolverError
 from .meshes import Mesh, MixedSpace
 
@@ -133,6 +133,32 @@ def nonlinear_step(ops: Operators, state: FlowState,
     velocity = state.velocity.copy()
     velocity[iu] += delta[:iu.size]
     return FlowState(velocity, state.pressure + delta[iu.size:])
+
+
+def tangent(ops: Operators, result: SteadyResult,
+            fields: np.ndarray) -> FlowState:
+    """Derivatives of the steady state `result` of `ops` along viscosity
+    directions `fields`, (m, n_cells, 9): one LU of the Newton Jacobian at
+    the state, and one solve for all m right-hand sides.
+
+    Diffusion is linear in the viscosity, so direction ``i`` moves the
+    residual by ``-D_i (u_i, p, u_d)`` with ``D_i`` the diffusion of
+    ``fields[i]``.  Returns a state whose rows are the m derivatives,
+    velocity (m, n_u) with zero Dirichlet entries and pressure (m, n_p).
+    Raises :class:`RankDeficiencyError` when the Jacobian does not factor.
+    """
+    space, plan, state = ops.space, saddle_plan(ops.space), result.state
+    jacobian = plan.fill(newton_operator(ops, state.velocity, result.picard),
+                         ops.divergence)
+    zero = np.zeros_like(ops.divergence)
+    rhs = np.column_stack([
+        residual(ops, state, plan.fill(diffusion_kernel(ops.mesh, nu), zero))
+        for nu in fields])
+    delta = _factor(plan.square(jacobian)).solve(rhs).T
+    iu = space.interior
+    velocity = np.zeros((len(fields), space.n_u))
+    velocity[:, iu] = delta[:, :iu.size]
+    return FlowState(velocity, delta[:, iu.size:].copy())
 
 
 def solve_steady(ops: Operators, settings: SolverSettings | None = None,

@@ -67,6 +67,13 @@ class ViscosityModel:
                 f"viscosity realization reaches {low:.3e} at a quadrature point")
         return field
 
+    def gradient(self, xi) -> np.ndarray:
+        """Exact derivatives ``d nu / d xi_j`` of the field at one sample
+        point, (dim, n_cells, 9).  They are signed, so unlike a
+        realization they are not checked for positivity."""
+        grad = self.basis.gradient(np.asarray(xi, dtype=float))[0]
+        return np.tensordot(grad, self.coeffs, axes=1)
+
     def describe(self) -> dict:
         """Provenance block serialized into result files."""
         return {

