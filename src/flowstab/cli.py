@@ -134,6 +134,13 @@ def assess_one(config: ExperimentConfig, sim: Simulator, surrogates: dict,
     elapsed = time.perf_counter() - start
     print(f"[assess] simulator x{samples.n} ({cov_tag(cov)}): "
           f"{elapsed:.2f} s ({elapsed / samples.n:.3f} s/sample)")
+    if not result.ok.any():
+        reasons = failure_reasons(record.note for record in result.records)
+        counts = ", ".join(f"{reason}: {count}"
+                           for reason, count in sorted(reasons.items()))
+        raise SolverError(f"all {samples.n} Monte Carlo samples at "
+                          f"{cov_tag(cov)} failed ({counts}); the report "
+                          f"needs at least one")
 
     ok_xi = samples.xi[result.ok]
     columns = {}
@@ -149,6 +156,12 @@ def assess_one(config: ExperimentConfig, sim: Simulator, surrogates: dict,
     return build_report(result.values(), columns, label=cov_tag(cov),
                         sample_hash=result.sample_hash,
                         n_failed=result.n_failed, provenance=provenance)
+
+
+def failure_reasons(notes) -> Counter:
+    """Count of failure notes per stage; a note starts with its stage
+    (viscosity, steady solve, eigensolve) and a colon."""
+    return Counter(str(note).partition(":")[0] or "unknown" for note in notes)
 
 
 def _parse_xi(text: str | None, dim: int) -> np.ndarray:
@@ -179,14 +192,13 @@ def cmd_solve(args) -> int:
     cov = config.covs[0]
     xi = _parse_xi(args.xi, config.m)
     sim = build_simulator(config, cov, use_cache=False)
-    if not xi.any():
-        # at xi = 0 the nominal solve is this sample's solve: run it once, cold
-        sim.nominal = None
 
     config.outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
-        steady, eig = sim.solve(xi)
+        # one sample, so nothing to warm-start it from: the cold chain
+        steady, eig = stability(sim.mesh, sim.space, sim.model.evaluate(xi),
+                                sim.settings, sim.k, sim.seed)
     except ConvergenceError as exc:
         trace_path = config.outdir / "solve_trace.json"
         trace_path.write_text(json.dumps(
@@ -298,9 +310,8 @@ def cmd_cache(args) -> int:
         return 0
     records = read_cache(path)[0]
     fingerprints = Counter(record["fingerprint"] for record in records)
-    # failure notes start with the stage: viscosity, steady solve, eigensolve
-    reasons = Counter(str(record.get("note", "")).partition(":")[0] or "unknown"
-                      for record in records if record["failed"])
+    reasons = failure_reasons(record.get("note", "") for record in records
+                              if record["failed"])
     print(f"{path}: {len(records)} records, {sum(reasons.values())} failed, "
           f"{len(fingerprints)} distinct configurations")
     for fp, count in sorted(fingerprints.items()):

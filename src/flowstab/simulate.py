@@ -25,8 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import SpatialField
-from .errors import (ConfigError, EigenError, PositivityError,
-                     RankDeficiencyError, SolverError)
+from .errors import ConfigError, EigenError, PositivityError, SolverError
 from .eigen import EigenResult, build_problem, rightmost
 from .meshes import Mesh, MixedSpace
 from .steady import (FlowState, SolverSettings, SteadyResult, build_operators,
@@ -269,17 +268,12 @@ def stability(mesh: Mesh, space: MixedSpace, viscosity: SpatialField,
     the eigenvalue is tracked from `near` when one is given (see
     :func:`rightmost`).
 
-    Raises :class:`SolverError` or :class:`EigenError` on failure; an
-    :class:`EigenError` carries the converged steady result as `steady`.
+    Raises :class:`SolverError` or :class:`EigenError` on failure.
     """
     ops = build_operators(mesh, space, viscosity)
     steady = solve_steady(ops, settings, start)
-    try:
-        return steady, rightmost(build_problem(ops, steady), k=k, seed=seed,
-                                 near=near)
-    except EigenError as exc:
-        exc.steady = steady
-        raise
+    return steady, rightmost(build_problem(ops, steady), k=k, seed=seed,
+                             near=near)
 
 
 @dataclass(frozen=True)
@@ -287,19 +281,15 @@ class Nominal:
     """The steady state, its tangent and the rightmost eigenpair at the
     germ ``xi = 0``, from which every sample starts.  `tangent` holds the
     derivatives of the state along each germ component (see
-    :func:`tangent`); it is ``None`` when the Jacobian did not factor, and
-    samples then start from `state` itself.  `eigen` is ``None`` when the
-    nominal eigensolve failed, and samples then sweep for their
-    eigenvalue."""
+    :func:`tangent`).  `eigen` is ``None`` when the nominal eigensolve
+    failed, and samples then sweep for their eigenvalue."""
 
     state: FlowState
     eigen: Optional[EigenResult]
-    tangent: Optional[FlowState]
+    tangent: FlowState
 
     def start(self, xi: np.ndarray) -> FlowState:
         """The first-order prediction of the steady state at germ `xi`."""
-        if self.tangent is None:
-            return self.state
         return FlowState(self.state.velocity + xi @ self.tangent.velocity,
                          self.state.pressure + xi @ self.tangent.pressure)
 
@@ -356,23 +346,22 @@ class Simulator:
     @cached_property
     def nominal(self) -> Optional[Nominal]:
         """The cold chain at the germ ``xi = 0`` and the tangent of its
-        steady state, computed on first use and kept as vectors only.
-        ``None`` when its steady solve fails: every sample then runs
-        cold."""
+        steady state, on one set of operators and one pencil, computed on
+        first use and kept as vectors only.  ``None`` when its steady
+        solve fails or its Newton Jacobian, the pencil's ``lhs``, does not
+        factor: every sample then runs cold."""
         xi = np.zeros(self.model.dim)
         try:
-            viscosity = self.model.evaluate(xi)
-            steady, eig = stability(self.mesh, self.space, viscosity,
-                                    self.settings, self.k, self.seed)
+            ops = build_operators(self.mesh, self.space, self.model.evaluate(xi))
+            steady = solve_steady(ops, self.settings)
+            problem = build_problem(ops, steady)
+            slope = tangent(ops, steady, problem.lhs, self.model.gradient(xi))
         except (PositivityError, SolverError):
             return None
-        except EigenError as exc:
-            steady, eig = exc.steady, None
-        ops = build_operators(self.mesh, self.space, viscosity)
         try:
-            slope = tangent(ops, steady, self.model.gradient(xi))
-        except RankDeficiencyError:
-            slope = None
+            eig = rightmost(problem, k=self.k, seed=self.seed)
+        except EigenError:
+            eig = None
         return Nominal(steady.state, eig, slope)
 
     def solve(self, xi) -> tuple[SteadyResult, EigenResult]:

@@ -136,10 +136,10 @@ def nonlinear_step(ops: Operators, state: FlowState,
 
 
 def tangent(ops: Operators, result: SteadyResult,
-            fields: np.ndarray) -> FlowState:
+            jacobian: sparse.csc_matrix, fields: np.ndarray) -> FlowState:
     """Derivatives of the steady state `result` of `ops` along viscosity
-    directions `fields`, (m, n_cells, 9): one LU of the Newton Jacobian at
-    the state, and one solve for all m right-hand sides.
+    directions `fields`, (m, n_cells, 9): one LU of `jacobian`, the square
+    Newton Jacobian at the state, and one solve for all m right-hand sides.
 
     Diffusion is linear in the viscosity, so direction ``i`` moves the
     residual by ``-D_i (u_i, p, u_d)`` with ``D_i`` the diffusion of
@@ -148,13 +148,11 @@ def tangent(ops: Operators, result: SteadyResult,
     Raises :class:`RankDeficiencyError` when the Jacobian does not factor.
     """
     space, plan, state = ops.space, saddle_plan(ops.space), result.state
-    jacobian = plan.fill(newton_operator(ops, state.velocity, result.picard),
-                         ops.divergence)
     zero = np.zeros_like(ops.divergence)
     rhs = np.column_stack([
         residual(ops, state, plan.fill(diffusion_kernel(ops.mesh, nu), zero))
         for nu in fields])
-    delta = _factor(plan.square(jacobian)).solve(rhs).T
+    delta = _factor(jacobian).solve(rhs).T
     iu = space.interior
     velocity = np.zeros((len(fields), space.n_u))
     velocity[:, iu] = delta[:, :iu.size]

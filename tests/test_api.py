@@ -4,16 +4,21 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import flowstab
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def library_imports() -> list:
+def library_code() -> str:
     text = README.read_text()
     section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    return [alias.name for node in ast.parse(code).body
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def library_imports() -> list:
+    return [alias.name for node in ast.parse(library_code()).body
             if isinstance(node, ast.ImportFrom) and node.module == "flowstab"
             for alias in node.names]
 
@@ -24,3 +29,13 @@ def test_all_matches_readme_library():
     assert len(set(flowstab.__all__)) == len(flowstab.__all__)
     for name in flowstab.__all__:
         assert hasattr(flowstab, name)
+
+
+@pytest.mark.slow
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(library_code(), "README.md", "exec"), {"__name__": "readme"})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("min viscosity at the mean germ:")
+    # design maximum, Monte Carlo mean and failure count
+    assert len(lines[1].split()) == 3

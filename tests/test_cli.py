@@ -84,6 +84,36 @@ def test_solve_at_explicit_sample(config_path, workdir):
     assert main(["solve", "--config", str(config_path)]) == 0
 
 
+def test_solve_runs_the_cold_chain_once(workdir, monkeypatch):
+    path = write_config(workdir / "cold.yaml",
+                        paths={"outdir": "out_cold", "cache": None})
+    starts, nears = [], []
+    solve_steady, rightmost = simulate.solve_steady, simulate.rightmost
+
+    def steady(ops, settings=None, start=None):
+        starts.append(start)
+        return solve_steady(ops, settings, start)
+
+    def eigen(problem, k=24, seed=0, near=None):
+        nears.append(near)
+        return rightmost(problem, k, seed, near)
+
+    monkeypatch.setattr(simulate, "solve_steady", steady)
+    monkeypatch.setattr(simulate, "rightmost", eigen)
+    assert main(["solve", "--config", str(path), "--xi", "0.5,-0.5"]) == 0
+    # no nominal solve, no warm start, no tracking
+    assert starts == [None] and nears == [None]
+    payload = json.loads((workdir / "out_cold" / "solve.json").read_text())
+    assert payload["method"] == "arnoldi"
+    monkeypatch.setattr(simulate, "solve_steady", solve_steady)
+    monkeypatch.setattr(simulate, "rightmost", rightmost)
+    sim = build_simulator(load_config(path), 0.05, use_cache=False)
+    lam = simulate.stability(sim.mesh, sim.space,
+                             sim.model.evaluate(np.array([0.5, -0.5])),
+                             sim.settings, sim.k, sim.seed)[1].eigenvalue
+    assert payload["eigenvalue"] == {"re": lam.real, "im": lam.imag}
+
+
 def test_solve_bad_xi_is_config_error(config_path):
     assert main(["solve", "--config", str(config_path), "--xi", "1,2,3"]) == 2
     assert main(["solve", "--config", str(config_path), "--xi", "a,b"]) == 2
@@ -228,7 +258,7 @@ def test_nonconvergence_exit_3_with_trace(workdir, capsys, monkeypatch):
 
     monkeypatch.setattr(simulate, "solve_steady", counted)
     assert main(["solve", "--config", str(path)]) == 3
-    # at xi = 0 the nominal solve is the sample's solve: it runs once
+    # `solve` runs the cold chain once, with no nominal solve before it
     assert len(calls) == 1
     trace = json.loads((workdir / "out_hard" / "solve_trace.json").read_text())
     assert trace["trace"], "residual history should be recorded"
@@ -456,6 +486,21 @@ def test_cache_inspect_groups_failures_by_reason(workdir, capsys):
     assert "  failed (steady solve): 2" in out
     assert "  failed (viscosity): 1" in out
     assert "eigensolve" not in out
+
+
+def test_assess_with_every_sample_failed_is_a_solver_failure(workdir, capsys):
+    # CoV 8 drives the affine viscosity negative at both germs: the config
+    # is valid, the samples fail
+    path = write_config(workdir / "negative.yaml", benchmark="step",
+                        viscosity={"covs": [8.0], "m": 2, "p": 1, "level": 1},
+                        surrogates={"models": ["sc"]},
+                        assess={"n_mc": 2, "sample_seed": 1},
+                        paths={"outdir": "out_negative", "cache": None})
+    assert main(["assess", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: all 2 Monte Carlo samples" in err
+    assert "(viscosity: 2)" in err
+    assert not (workdir / "out_negative" / "metrics.csv").exists()
 
 
 def test_assess_retrains_stale_surrogates(workdir):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowstab import simulate, steady
+from flowstab import eigen, simulate, steady
 from flowstab.assembly import SpatialField
 from flowstab.config import build_simulator, load_config
 from flowstab.eigen import build_problem, rightmost
@@ -421,7 +421,9 @@ def test_tangent_start_is_nearer_than_the_nominal_state_at_tail_germs(name):
 @pytest.mark.parametrize("spoil", ["nan", "far", "nan-tangent"])
 def test_failed_warm_start_gives_the_cold_record(toy, spoil):
     sim = make_sim(toy)
-    state, slope = sim.nominal.state, None
+    state, tangent = sim.nominal.state, sim.nominal.tangent
+    slope = FlowState(np.zeros_like(tangent.velocity),
+                      np.zeros_like(tangent.pressure))
     if spoil == "nan":
         spoiled = FlowState(np.full_like(state.velocity, np.nan),
                             state.pressure)
@@ -430,7 +432,7 @@ def test_failed_warm_start_gives_the_cold_record(toy, spoil):
         velocity[sim.space.interior] *= 10.0
         spoiled = FlowState(velocity, state.pressure)
     else:
-        spoiled, tangent = state, sim.nominal.tangent
+        spoiled = state
         slope = FlowState(np.full_like(tangent.velocity, np.nan),
                           tangent.pressure)
     # no nominal eigenpair on either side: both sweep
@@ -443,8 +445,40 @@ def test_failed_warm_start_gives_the_cold_record(toy, spoil):
     assert sim.compute(xi) == cold.compute(xi)
 
 
-def test_failed_tangent_starts_every_sample_from_the_nominal_state(
-        toy, monkeypatch):
+def test_nominal_builds_one_operator_set_and_one_jacobian(toy, monkeypatch):
+    calls = {"build_operators": 0, "newton_operator": 0}
+    inside_solve = []
+    original_build, original_solve = simulate.build_operators, simulate.solve_steady
+    original_newton = steady.newton_operator
+
+    def build(*args):
+        calls["build_operators"] += 1
+        return original_build(*args)
+
+    def solve(*args, **kwargs):
+        inside_solve.append(True)
+        try:
+            return original_solve(*args, **kwargs)
+        finally:
+            inside_solve.pop()
+
+    def newton(*args):
+        # the Newton steps of the steady solve evaluate it at their iterates
+        if not inside_solve:
+            calls["newton_operator"] += 1
+        return original_newton(*args)
+
+    monkeypatch.setattr(simulate, "build_operators", build)
+    monkeypatch.setattr(simulate, "solve_steady", solve)
+    monkeypatch.setattr(steady, "newton_operator", newton)
+    monkeypatch.setattr(eigen, "newton_operator", newton)
+    sim = make_sim(toy)
+    assert sim.nominal is not None and sim.nominal.eigen is not None
+    # the pencil's Jacobian is the one the tangent factors
+    assert calls == {"build_operators": 1, "newton_operator": 1}
+
+
+def test_singular_nominal_jacobian_leaves_every_sample_cold(toy, monkeypatch):
     original, real_splu = simulate.tangent, steady.splu
 
     def singular(matrix):
@@ -460,12 +494,13 @@ def test_failed_tangent_starts_every_sample_from_the_nominal_state(
 
     monkeypatch.setattr(simulate, "tangent", singular_tangent)
     sim = make_sim(toy)
-    assert sim.nominal.tangent is None and sim.nominal.eigen is not None
-    xi = [0.3, -0.4]
-    ops = build_operators(sim.mesh, sim.space, sim.model.evaluate(np.array(xi)))
-    plain = solve_steady(ops, sim.settings, sim.nominal.state)
-    assert sim.solve(xi)[0].trace == plain.trace
-    assert plain.trace[0]["kind"] == "warm"
+    assert sim.nominal is None
+    samples = SampleSet.draw(3, 2, "uniform", seed=6)
+    cold = make_sim(toy)
+    cold.nominal = None
+    result = monte_carlo(sim, samples)
+    assert result.records == monte_carlo(cold, samples).records
+    assert result.n_failed == 0
 
 
 def test_failed_nominal_leaves_every_sample_cold(toy, monkeypatch):

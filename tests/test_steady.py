@@ -269,7 +269,9 @@ def test_tangent_matches_central_differences_of_steady_states(kind):
         return build_operators(mesh, space, model.evaluate(xi))
 
     origin = np.zeros(2)
-    slope = tangent(ops_at(origin), solve_steady(ops_at(origin)),
+    ops = ops_at(origin)
+    result = solve_steady(ops)
+    slope = tangent(ops, result, build_problem(ops, result).lhs,
                     model.gradient(origin))
     assert slope.velocity.shape == (2, space.n_u)
     assert slope.pressure.shape == (2, space.n_p)
