@@ -32,8 +32,9 @@ from .errors import (ConfigError, ConvergenceError, EigenError,
 from .metrics import Report, build_report, metrics_csv
 from .quadrature import smolyak
 from .simulate import SampleSet, Simulator, monte_carlo, read_cache, stability
-from .surrogates import (MIN_DESIGN, TrainingSet, gp_train, load_surrogate,
-                         nn_train, read_surrogate, save_surrogate, sc_train)
+from .surrogates import (FIT, MIN_DESIGN, TrainingSet, gp_train,
+                         load_surrogate, nn_train, read_surrogate,
+                         save_surrogate, sc_train)
 
 
 def surrogate_path(config: ExperimentConfig, name: str, cov: float) -> Path:
@@ -68,8 +69,8 @@ def train_surrogates(config: ExperimentConfig, sim: Simulator,
     if result.n_failed:
         bad = [i for i, r in enumerate(result.records) if r.failed]
         raise ConvergenceError(
-            f"{result.n_failed} design-node solves failed "
-            f"(nodes {bad}); surrogates need the full grid")
+            f"{result.n_failed} design-node solves failed (nodes {bad}; "
+            f"{failure_counts(result.records)}); surrogates need the full grid")
 
     cov = sim.model.cov
     surrogates: dict[str, object] = {}
@@ -97,7 +98,7 @@ def train_surrogates(config: ExperimentConfig, sim: Simulator,
 def surrogate_provenance(config: ExperimentConfig, sim: Simulator) -> dict:
     """What `train` stores with each surrogate, as read back from JSON."""
     return json.loads(json.dumps({
-        "config": config.resolved(), "cov": sim.model.cov,
+        "config": config.resolved(), "cov": sim.model.cov, "fit": FIT,
         "model": sim.model.describe(), "simulator": sim.fingerprint,
         "design": {"n_nodes": design_samples(config)[1].n,
                    "stride": config.stride}}))
@@ -135,11 +136,9 @@ def assess_one(config: ExperimentConfig, sim: Simulator, surrogates: dict,
     print(f"[assess] simulator x{samples.n} ({cov_tag(cov)}): "
           f"{elapsed:.2f} s ({elapsed / samples.n:.3f} s/sample)")
     if not result.ok.any():
-        reasons = failure_reasons(record.note for record in result.records)
-        counts = ", ".join(f"{reason}: {count}"
-                           for reason, count in sorted(reasons.items()))
         raise SolverError(f"all {samples.n} Monte Carlo samples at "
-                          f"{cov_tag(cov)} failed ({counts}); the report "
+                          f"{cov_tag(cov)} failed "
+                          f"({failure_counts(result.records)}); the report "
                           f"needs at least one")
 
     ok_xi = samples.xi[result.ok]
@@ -162,6 +161,13 @@ def failure_reasons(notes) -> Counter:
     """Count of failure notes per stage; a note starts with its stage
     (viscosity, steady solve, eigensolve) and a colon."""
     return Counter(str(note).partition(":")[0] or "unknown" for note in notes)
+
+
+def failure_counts(records) -> str:
+    """``"reason: count, ..."`` over the failed `records`, reasons sorted."""
+    reasons = failure_reasons(r.note for r in records if r.failed)
+    return ", ".join(f"{reason}: {count}"
+                     for reason, count in sorted(reasons.items()))
 
 
 def _parse_xi(text: str | None, dim: int) -> np.ndarray:

@@ -176,7 +176,7 @@ def dense_rightmost(problem: EigenProblem) -> EigenResult:
 
 
 def rightmost(problem: EigenProblem, k: int = 24, seed: int = 0,
-              near: EigenResult | None = None) -> EigenResult:
+              near: EigenResult | None = None, lu=None) -> EigenResult:
     """Rightmost finite eigenvalue.
 
     Given `near`, the rightmost eigenpair of a nearby pencil, the value is
@@ -185,8 +185,9 @@ def rightmost(problem: EigenProblem, k: int = 24, seed: int = 0,
     `k` Ritz values nearest the origin are computed; if the selected value
     sits at the outer edge of that window the computation is repeated once
     with ``2k``, on the same factorization, to make sure nothing further
-    right was missed.  Problems with fewer than a handful of DOFs fall
-    back to the dense path.
+    right was missed; `lu`, when given, is the LU of ``problem.lhs`` it
+    uses.  Problems with fewer than a handful of DOFs fall back to the
+    dense path.
     """
     n = problem.dim
     if n < _DENSE_FALLBACK:
@@ -195,10 +196,12 @@ def rightmost(problem: EigenProblem, k: int = 24, seed: int = 0,
         tracked = _tracked(problem, near)
         if tracked is not None:
             return tracked
-    try:
-        lu = splu(problem.lhs.tocsc())
-    except RuntimeError as exc:
-        raise EigenError(f"factorization of the Jacobian failed: {exc}") from exc
+    if lu is None:
+        try:
+            lu = splu(problem.lhs.tocsc())
+        except RuntimeError as exc:
+            raise EigenError(
+                f"factorization of the Jacobian failed: {exc}") from exc
     op = LinearOperator((n, n), matvec=lambda x: lu.solve(problem.rhs @ x))
     k_eff = min(k, n - 2)
     result, edge = _window(problem, op, k_eff, seed)

@@ -29,7 +29,7 @@ from .errors import ConfigError, EigenError, PositivityError, SolverError
 from .eigen import EigenResult, build_problem, rightmost
 from .meshes import Mesh, MixedSpace
 from .steady import (FlowState, SolverSettings, SteadyResult, build_operators,
-                     solve_steady, tangent)
+                     factor, solve_steady, tangent)
 from .viscosity import ViscosityModel
 
 DISTRIBUTIONS = ("normal", "uniform")
@@ -346,20 +346,22 @@ class Simulator:
     @cached_property
     def nominal(self) -> Optional[Nominal]:
         """The cold chain at the germ ``xi = 0`` and the tangent of its
-        steady state, on one set of operators and one pencil, computed on
-        first use and kept as vectors only.  ``None`` when its steady
-        solve fails or its Newton Jacobian, the pencil's ``lhs``, does not
-        factor: every sample then runs cold."""
+        steady state, on one set of operators, one pencil and one LU of
+        its Newton Jacobian (the pencil's ``lhs``, which the tangent and
+        the origin sweep share), computed on first use and kept as
+        vectors only.  ``None`` when its steady solve fails or that
+        Jacobian does not factor: every sample then runs cold."""
         xi = np.zeros(self.model.dim)
         try:
             ops = build_operators(self.mesh, self.space, self.model.evaluate(xi))
             steady = solve_steady(ops, self.settings)
             problem = build_problem(ops, steady)
-            slope = tangent(ops, steady, problem.lhs, self.model.gradient(xi))
+            lu = factor(problem.lhs)
+            slope = tangent(ops, steady, lu, self.model.gradient(xi))
         except (PositivityError, SolverError):
             return None
         try:
-            eig = rightmost(problem, k=self.k, seed=self.seed)
+            eig = rightmost(problem, k=self.k, seed=self.seed, lu=lu)
         except EigenError:
             eig = None
         return Nominal(steady.state, eig, slope)

@@ -88,7 +88,9 @@ def build_operators(mesh: Mesh, space: MixedSpace,
                      assemble_velocity_mass(mesh))
 
 
-def _factor(matrix: sparse.csc_matrix):
+def factor(matrix: sparse.csc_matrix):
+    """The LU of a square saddle matrix; raises
+    :class:`RankDeficiencyError` when it is singular."""
     try:
         return splu(matrix)
     except RuntimeError as exc:
@@ -129,30 +131,30 @@ def nonlinear_step(ops: Operators, state: FlowState,
     """One correction from `state`: the square part of the filled saddle
     matrix `matrix` solved for `res`, the residual at `state`."""
     iu = ops.space.interior
-    delta = _factor(saddle_plan(ops.space).square(matrix)).solve(res)
+    delta = factor(saddle_plan(ops.space).square(matrix)).solve(res)
     velocity = state.velocity.copy()
     velocity[iu] += delta[:iu.size]
     return FlowState(velocity, state.pressure + delta[iu.size:])
 
 
-def tangent(ops: Operators, result: SteadyResult,
-            jacobian: sparse.csc_matrix, fields: np.ndarray) -> FlowState:
+def tangent(ops: Operators, result: SteadyResult, lu,
+            fields: np.ndarray) -> FlowState:
     """Derivatives of the steady state `result` of `ops` along viscosity
-    directions `fields`, (m, n_cells, 9): one LU of `jacobian`, the square
-    Newton Jacobian at the state, and one solve for all m right-hand sides.
+    directions `fields`, (m, n_cells, 9): one solve for all m right-hand
+    sides with `lu`, the :func:`factor` of the square Newton Jacobian at
+    the state.
 
     Diffusion is linear in the viscosity, so direction ``i`` moves the
     residual by ``-D_i (u_i, p, u_d)`` with ``D_i`` the diffusion of
     ``fields[i]``.  Returns a state whose rows are the m derivatives,
     velocity (m, n_u) with zero Dirichlet entries and pressure (m, n_p).
-    Raises :class:`RankDeficiencyError` when the Jacobian does not factor.
     """
     space, plan, state = ops.space, saddle_plan(ops.space), result.state
     zero = np.zeros_like(ops.divergence)
     rhs = np.column_stack([
         residual(ops, state, plan.fill(diffusion_kernel(ops.mesh, nu), zero))
         for nu in fields])
-    delta = _factor(jacobian).solve(rhs).T
+    delta = lu.solve(rhs).T
     iu = space.interior
     velocity = np.zeros((len(fields), space.n_u))
     velocity[:, iu] = delta[:, :iu.size]

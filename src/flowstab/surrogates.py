@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 
 from .errors import ConfigError, TrainingError
 from .gpc import GpcBasis
@@ -35,6 +35,7 @@ _JITTER_BASE = 1e-10
 _JITTER_CAP = 1e-6
 _LOG_BRACKET = (math.log(1e-2), math.log(1e2))
 _SCAN_POINTS = 64
+_RESCANS = 2
 
 _MU0 = 0.005          # LM damping start
 _MU_DEC = 0.1
@@ -46,6 +47,13 @@ _HYPER_CAP = 1e10     # keeps alpha/beta finite when a fit becomes exact
 
 #: fewest design points each regression model trains on
 MIN_DESIGN = {"gp": 2, "nn": 4}
+
+#: version of the fits, stored in each file's provenance by ``train``;
+#: every change that moves fitted values bumps it, so files fitted by an
+#: older version are refitted, not reused.
+#: 1: GP length scale by a scan refined by golden-section search
+#: 2: GP length scale by a scan and two zoomed rescans
+FIT = 2
 
 
 @dataclass(frozen=True)
@@ -235,9 +243,11 @@ def _gp_profile(d2: np.ndarray, y: np.ndarray, log_sl: float):
 def gp_train(design: TrainingSet, sigma_l: float | None = None) -> GpSurrogate:
     """Fit the kriging surrogate, optimizing ``sigma_l`` unless given.
 
-    The profile likelihood is swept on a log grid over [1e-2, 1e2] and
-    the three best local peaks are refined by golden-section; a supplied
-    ``sigma_l`` skips the search (useful for closed-form checks).
+    The profile likelihood is scanned at 64 log-spaced lengths over
+    [1e-2, 1e2], then twice more over the interval between the
+    neighbours of the best point, on a final spacing of 1.5e-4 in
+    ``log sigma_l``; a supplied ``sigma_l`` skips the search
+    (useful for closed-form checks).
     """
     if design.n < MIN_DESIGN["gp"]:
         raise TrainingError(f"kriging needs {MIN_DESIGN['gp']} design points")
@@ -258,32 +268,15 @@ def gp_train(design: TrainingSet, sigma_l: float | None = None) -> GpSurrogate:
 
 
 def _optimize_length(d2: np.ndarray, y: np.ndarray) -> float:
+    """Log correlation length of largest profile likelihood: a scan of
+    :data:`_LOG_BRACKET`, then :data:`_RESCANS` scans of the interval
+    between the neighbours of the best point so far."""
     lo, hi = _LOG_BRACKET
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = np.array([_gp_profile(d2, y, t)[0] for t in grid])
-    peaks = [i for i in range(_SCAN_POINTS)
-             if (i == 0 or vals[i] >= vals[i - 1])
-             and (i == _SCAN_POINTS - 1 or vals[i] >= vals[i + 1])]
-    peaks.sort(key=lambda i: -vals[i])
-    best_t, best_v = grid[peaks[0]], vals[peaks[0]]
-    for i in peaks[:3]:
-        neg = lambda t: -_gp_profile(d2, y, float(t))[0]
-        strict = (0 < i < _SCAN_POINTS - 1
-                  and vals[i] > vals[i - 1] and vals[i] > vals[i + 1])
-        if strict:
-            res = optimize.minimize_scalar(
-                neg, bracket=(grid[i - 1], grid[i], grid[i + 1]),
-                method="golden", options={"xtol": 1e-3})
-        else:
-            # scan edge or likelihood plateau: no strict bracket exists
-            a = grid[max(i - 1, 0)]
-            b = grid[min(i + 1, _SCAN_POINTS - 1)]
-            res = optimize.minimize_scalar(neg, bounds=(a, b),
-                                           method="bounded",
-                                           options={"xatol": 1e-3})
-        if -res.fun > best_v:
-            best_t, best_v = float(res.x), -res.fun
-    return float(np.clip(best_t, lo, hi))
+    for _ in range(1 + _RESCANS):
+        grid = np.linspace(lo, hi, _SCAN_POINTS)
+        i = int(np.argmax([_gp_profile(d2, y, t)[0] for t in grid]))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, _SCAN_POINTS - 1)]
+    return float(grid[i])
 
 
 # ------------------------------------------------------------ shallow network

@@ -1,7 +1,10 @@
 """The package's top-level surface is exactly the README's Library section."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,16 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     assert lines[0].startswith("min viscosity at the mean germ:")
     # design maximum, Monte Carlo mean and failure count
     assert len(lines[1].split()) == 3
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # every `train` and `assess` process pays for the CLI's imports, and
+    # scipy.optimize alone took about 0.25 s of them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(flowstab.__file__).parent.parent), env.get("PYTHONPATH")]))
+    code = "import sys, flowstab.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

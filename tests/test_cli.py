@@ -19,6 +19,7 @@ from flowstab import simulate
 from flowstab.cli import _resolve_workers, main, surrogate_path
 from flowstab.config import build_simulator, load_config
 from flowstab.errors import ConvergenceError
+from flowstab.surrogates import FIT
 
 pytestmark = pytest.mark.slow
 
@@ -488,6 +489,18 @@ def test_cache_inspect_groups_failures_by_reason(workdir, capsys):
     assert "eigensolve" not in out
 
 
+def test_train_names_why_design_nodes_failed(workdir, capsys):
+    # CoV 8 drives the affine viscosity negative at 3 of the 5 nodes
+    path = write_config(workdir / "negative_train.yaml", benchmark="step",
+                        viscosity={"covs": [8.0], "m": 2, "p": 1, "level": 2},
+                        surrogates={"models": ["sc"]},
+                        paths={"outdir": "out_negative_train", "cache": None})
+    assert main(["train", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "3 design-node solves failed" in err
+    assert "viscosity: 3" in err
+
+
 def test_assess_with_every_sample_failed_is_a_solver_failure(workdir, capsys):
     # CoV 8 drives the affine viscosity negative at both germs: the config
     # is valid, the samples fail
@@ -525,8 +538,21 @@ def test_assess_retrains_stale_surrogates(workdir):
     for name in ("report_cov5pct.json", "metrics.csv", "kde_cov5pct.csv"):
         assert ((workdir / "out_stale" / name).read_bytes()
                 == (workdir / "out_fresh" / name).read_bytes())
-    doc = json.loads(surrogate_path(load_config(stale), "sc", 0.05).read_text())
+    target = surrogate_path(load_config(stale), "sc", 0.05)
+    fitted = target.read_bytes()
+    doc = json.loads(fitted)
     assert doc["provenance"]["config"]["viscosity"]["nu1"] == 6.0e-3
+    # a file fitted by another version of the fits is refitted too
+    assert doc["provenance"]["fit"] == FIT
+    for older in (None, FIT - 1):
+        if older is None:
+            del doc["provenance"]["fit"]
+        else:
+            doc["provenance"]["fit"] = older
+        doc["params"]["coeffs"][0] += 1.0
+        target.write_text(json.dumps(doc))
+        assert main(["assess", "--config", str(stale), "--workers", "1"]) == 0
+        assert target.read_bytes() == fitted
 
 
 def test_assess_retrains_a_stale_surrogate_it_cannot_load(workdir):

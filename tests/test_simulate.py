@@ -446,10 +446,10 @@ def test_failed_warm_start_gives_the_cold_record(toy, spoil):
 
 
 def test_nominal_builds_one_operator_set_and_one_jacobian(toy, monkeypatch):
-    calls = {"build_operators": 0, "newton_operator": 0}
+    calls = {"build_operators": 0, "newton_operator": 0, "splu": 0}
     inside_solve = []
     original_build, original_solve = simulate.build_operators, simulate.solve_steady
-    original_newton = steady.newton_operator
+    original_newton, original_splu = steady.newton_operator, steady.splu
 
     def build(*args):
         calls["build_operators"] += 1
@@ -468,31 +468,40 @@ def test_nominal_builds_one_operator_set_and_one_jacobian(toy, monkeypatch):
             calls["newton_operator"] += 1
         return original_newton(*args)
 
+    def lu(matrix):
+        # the Newton steps factor their own Jacobians too
+        if not inside_solve:
+            calls["splu"] += 1
+        return original_splu(matrix)
+
     monkeypatch.setattr(simulate, "build_operators", build)
     monkeypatch.setattr(simulate, "solve_steady", solve)
     monkeypatch.setattr(steady, "newton_operator", newton)
     monkeypatch.setattr(eigen, "newton_operator", newton)
+    monkeypatch.setattr(steady, "splu", lu)
+    monkeypatch.setattr(eigen, "splu", lu)
     sim = make_sim(toy)
     assert sim.nominal is not None and sim.nominal.eigen is not None
-    # the pencil's Jacobian is the one the tangent factors
-    assert calls == {"build_operators": 1, "newton_operator": 1}
+    assert sim.nominal.eigen.method == "arnoldi"
+    # the pencil's Jacobian is the one the tangent and the sweep share
+    assert calls == {"build_operators": 1, "newton_operator": 1, "splu": 1}
 
 
 def test_singular_nominal_jacobian_leaves_every_sample_cold(toy, monkeypatch):
-    original, real_splu = simulate.tangent, steady.splu
+    original, real_splu = simulate.factor, steady.splu
 
     def singular(matrix):
         raise RuntimeError("Factor is exactly singular")
 
-    def singular_tangent(*args):
-        # only the tangent's LU fails, not those of the nominal solve
+    def singular_factor(*args):
+        # only the nominal Jacobian's LU fails, not those of its solve
         monkeypatch.setattr(steady, "splu", singular)
         try:
             return original(*args)
         finally:
             monkeypatch.setattr(steady, "splu", real_splu)
 
-    monkeypatch.setattr(simulate, "tangent", singular_tangent)
+    monkeypatch.setattr(simulate, "factor", singular_factor)
     sim = make_sim(toy)
     assert sim.nominal is None
     samples = SampleSet.draw(3, 2, "uniform", seed=6)
@@ -528,11 +537,11 @@ def test_failed_nominal_eigensolve_leaves_every_sample_on_the_sweep(
     original = simulate.rightmost
     nears = []
 
-    def nominal_fails(problem, k=24, seed=0, near=None):
+    def nominal_fails(problem, k=24, seed=0, near=None, lu=None):
         nears.append(near)
         if len(nears) == 1:
             raise EigenError("nominal eigensolve failed")
-        return original(problem, k, seed, near)
+        return original(problem, k, seed, near, lu)
 
     monkeypatch.setattr(simulate, "rightmost", nominal_fails)
     samples = SampleSet.draw(3, 2, "uniform", seed=6)

@@ -141,9 +141,16 @@ def test_gp_far_field_reverts_to_mean():
     assert far == pytest.approx(g.scaler.descale(g.mu_hat), rel=1e-10)
 
 
-def test_gp_likelihood_beats_audit_sweep():
-    ts = training_set_from(lambda x: np.cos(x[:, 0] * x[:, 1]), n=15, seed=3)
+@pytest.mark.parametrize("fn, n, interior", [
+    (lambda x: np.cos(x[:, 0] * x[:, 1]), 15, True),
+    # a plane is smoothest at the longest length: the bracket end; few
+    # points keep the audit's explicit inverse accurate there
+    (lambda x: x[:, 0] - 0.5 * x[:, 1], 6, False),
+], ids=["interior", "bracket-end"])
+def test_gp_likelihood_beats_audit_sweep(fn, n, interior):
+    ts = training_set_from(fn, n=n, seed=3)
     g = gp_train(ts)
+    assert (1e-2 < g.sigma_l < 99.0) == interior
     y = ts.scaled_targets
     x = ts.inputs
     d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
