@@ -42,7 +42,7 @@ def main():
     rng = np.random.default_rng(7)
     acc = 0.0
     for _ in range(N_DRAWS):
-        acc = acc + model.evaluate(rng.standard_normal(config.m)).values
+        acc = acc + model.evaluate(rng.standard_normal(config.m))
     dev = np.abs(acc / N_DRAWS / nu1 - 1.0).max()
     print(f"max pointwise |sample mean / nu1 - 1| over {N_DRAWS} draws: "
           f"{dev:.3f} (sampling scale ~{0.10 / np.sqrt(N_DRAWS):.3f})")
@@ -58,7 +58,7 @@ def main():
         for _ in range(N_DRAWS):
             xi = rng.uniform(-1.0, 1.0, config.m)
             try:
-                vmin = min(vmin, affine.evaluate(xi).values.min())
+                vmin = min(vmin, affine.evaluate(xi).min())
             except PositivityError:
                 fails += 1
         print(f"  {cov:.1f}   {fails:3d}/{N_DRAWS}     {vmin / nu1:8.3f}")
@@ -68,7 +68,7 @@ def main():
     vmin = np.inf
     rng = np.random.default_rng(3)
     for _ in range(N_DRAWS):
-        vmin = min(vmin, big.evaluate(rng.standard_normal(config.m)).values.min())
+        vmin = min(vmin, big.evaluate(rng.standard_normal(config.m)).min())
     print(f"lognormal at cov 0.7 over {N_DRAWS} draws: min field "
           f"{vmin / nu1:.3f} nu1, no rejections by construction")
 

@@ -19,13 +19,10 @@ divergence has one row per pressure DOF and carries the sign
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import sparse
 
-from .errors import PositivityError
 from .meshes import Mesh, MixedSpace
 
 _GPTS, _GWTS = leggauss(3)
@@ -89,38 +86,15 @@ def quad_data(mesh: Mesh) -> QuadData:
     return cached
 
 
-@dataclass
-class SpatialField:
-    """Scalar coefficient sampled at every quadrature point, (n_cells, 9)."""
-
-    values: np.ndarray
-
-    @classmethod
-    def constant(cls, mesh: Mesh, value: float) -> "SpatialField":
-        qd = quad_data(mesh)
-        return cls(np.full_like(qd.qw, float(value)))
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-
 def _cell_velocity(mesh: Mesh, velocity: np.ndarray) -> np.ndarray:
     """Nodal values of both velocity components per cell, (n_cells, 2, 9)."""
     return velocity.reshape(2, -1)[:, mesh.cell_vnodes].swapaxes(0, 1)
 
 
-def assemble_diffusion(mesh: Mesh, viscosity: SpatialField) -> np.ndarray:
+def assemble_diffusion(mesh: Mesh, coefficient: np.ndarray) -> np.ndarray:
     """Element matrices of ``integral( nu grad u : grad v )``, (n_cells, 9, 9),
-    the same for both velocity components."""
-    nu = viscosity.values
-    if not nu.min() > 0.0:
-        raise PositivityError(f"viscosity must be positive, min is {nu.min():.3e}")
-    return diffusion_kernel(mesh, nu)
-
-
-def diffusion_kernel(mesh: Mesh, coefficient: np.ndarray) -> np.ndarray:
-    """:func:`assemble_diffusion` for any coefficient sampled at the
-    quadrature points, (n_cells, 9), signed ones included."""
+    the same for both velocity components, with ``nu`` the `coefficient`
+    at the quadrature points, (n_cells, 9), signed ones included."""
     qd = quad_data(mesh)
     if coefficient.shape != qd.qw.shape:
         raise ValueError("viscosity field does not match the mesh quadrature")

@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .assembly import quad_data
 from .config import (ExperimentConfig, build_mesh, build_simulator,
                      build_space_for, cov_tag, load_config)
-from .assembly import SpatialField
 from .eigen import ritz_to_csv
 from .errors import (ConfigError, ConvergenceError, EigenError,
                      FlowstabError, SolverError)
@@ -39,6 +39,28 @@ from .surrogates import (FIT, MIN_DESIGN, TrainingSet, gp_train,
 
 def surrogate_path(config: ExperimentConfig, name: str, cov: float) -> Path:
     return config.outdir / f"surrogate_{name}_{cov_tag(cov)}.json"
+
+
+def surrogate_paths(config: ExperimentConfig) -> list:
+    """The surrogate files of every CoV and model."""
+    return [surrogate_path(config, name, cov)
+            for cov in config.covs for name in config.models]
+
+
+def prepare_outdir(config: ExperimentConfig, surrogates=()) -> None:
+    """Create the output directory, before a command computes anything.
+
+    An outdir that cannot be made (a file, or a file above it) and a
+    surrogate file among `surrogates` that is a directory are a
+    :class:`ConfigError` naming the path."""
+    try:
+        config.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"paths.outdir: cannot make the directory "
+                          f"{config.outdir} ({exc.strerror})")
+    for path in surrogates:
+        if path.is_dir():
+            raise ConfigError(f"{path}: the surrogate path is a directory")
 
 
 def design_samples(config: ExperimentConfig):
@@ -75,7 +97,6 @@ def train_surrogates(config: ExperimentConfig, sim: Simulator,
     cov = sim.model.cov
     surrogates: dict[str, object] = {}
     provenance = surrogate_provenance(config, sim)
-    config.outdir.mkdir(parents=True, exist_ok=True)
     if set(config.models) & set(MIN_DESIGN):
         design = TrainingSet.from_samples(
             samples.xi, result.lam_re).subsample(config.stride)
@@ -197,9 +218,8 @@ def cmd_solve(args) -> int:
     config = load_config(args.config)
     cov = config.covs[0]
     xi = _parse_xi(args.xi, config.m)
+    prepare_outdir(config)
     sim = build_simulator(config, cov, use_cache=False)
-
-    config.outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
         # one sample, so nothing to warm-start it from: the cold chain
@@ -240,16 +260,16 @@ def cmd_solve(args) -> int:
 
 def cmd_spectrum(args) -> int:
     config = load_config(args.config)
+    prepare_outdir(config)
     mesh = build_mesh(config)
     space = build_space_for(config, mesh)
     start = time.perf_counter()
     # the deterministic reference computation: constant mean viscosity
-    eig = stability(mesh, space, SpatialField.constant(mesh, config.nu1),
+    eig = stability(mesh, space, np.full_like(quad_data(mesh).qw, config.nu1),
                     config.solver, config.k, config.eigen_seed)[1]
     print(f"[spectrum] total: {time.perf_counter() - start:.2f} s, "
           f"{eig.candidates.size} Ritz values retained")
 
-    config.outdir.mkdir(parents=True, exist_ok=True)
     ritz_to_csv(eig, config.outdir / "spectrum.csv")
     payload = {
         "config": config.resolved(),
@@ -268,6 +288,7 @@ def cmd_spectrum(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config)
     workers = _resolve_workers(args)
+    prepare_outdir(config, surrogate_paths(config))
     for cov in config.covs:
         sim = build_simulator(config, cov)
         train_surrogates(config, sim, workers=workers)
@@ -279,7 +300,7 @@ def cmd_train(args) -> int:
 def cmd_assess(args) -> int:
     config = load_config(args.config)
     workers = _resolve_workers(args)
-    config.outdir.mkdir(parents=True, exist_ok=True)
+    prepare_outdir(config, surrogate_paths(config))
 
     reports = []
     for cov in config.covs:

@@ -225,9 +225,13 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except IsADirectoryError:
+        raise ConfigError(f"config file {path} is a directory")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}")
     return config_from_dict(data, base_dir=path.parent)

@@ -354,8 +354,6 @@ def build_space(mesh: Mesh, pressure: str = "q1") -> MixedSpace:
         if tag.kind != "dirichlet":
             continue
         for node in tag.vnodes:
-            if node in fixed:
-                continue
             x, y = mesh.vnode_xy[node]
             fixed[node] = tag.profile(x, y) if tag.profile is not None else (0.0, 0.0)
     nodes = np.array(sorted(fixed), dtype=np.int64)

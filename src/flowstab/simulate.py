@@ -24,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import SpatialField
 from .errors import ConfigError, EigenError, PositivityError, SolverError
 from .eigen import EigenResult, build_problem, rightmost
 from .meshes import Mesh, MixedSpace
@@ -258,12 +257,13 @@ def _sample_key(xi: np.ndarray, fingerprint: str) -> str:
     return hashlib.sha256(payload + fingerprint.encode()).hexdigest()
 
 
-def stability(mesh: Mesh, space: MixedSpace, viscosity: SpatialField,
+def stability(mesh: Mesh, space: MixedSpace, viscosity: np.ndarray,
               settings: SolverSettings, k: int, seed: int,
               start: FlowState | None = None,
               near: EigenResult | None = None) -> tuple[SteadyResult, EigenResult]:
-    """Steady state and rightmost eigenpair for one viscosity field: the
-    one stability chain that every caller runs.  The steady solve is
+    """Steady state and rightmost eigenpair for one viscosity field, its
+    values at the quadrature points, (n_cells, 9): the one stability
+    chain that every caller runs.  The steady solve is
     Newton from `start` when one is given (see :func:`solve_steady`), and
     the eigenvalue is tracked from `near` when one is given (see
     :func:`rightmost`).

@@ -27,9 +27,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import (SpatialField, assemble_convection, assemble_diffusion,
+from .assembly import (assemble_convection, assemble_diffusion,
                        assemble_divergence, assemble_newton_derivative,
-                       assemble_velocity_mass, diffusion_kernel, saddle_plan)
+                       assemble_velocity_mass, saddle_plan)
 from .errors import ConvergenceError, RankDeficiencyError, SolverError
 from .meshes import Mesh, MixedSpace
 
@@ -81,8 +81,10 @@ class SteadyResult:
 
 
 def build_operators(mesh: Mesh, space: MixedSpace,
-                    viscosity: SpatialField) -> Operators:
-    """Assemble everything that does not depend on the flow state."""
+                    viscosity: np.ndarray) -> Operators:
+    """Assemble everything that does not depend on the flow state, for a
+    viscosity sampled at the quadrature points, (n_cells, 9): diffusion
+    and mass (n_cells, 9, 9) and divergence (n_cells, 2, n_local_p, 9)."""
     return Operators(mesh, space, assemble_diffusion(mesh, viscosity),
                      assemble_divergence(mesh, space),
                      assemble_velocity_mass(mesh))
@@ -140,9 +142,9 @@ def nonlinear_step(ops: Operators, state: FlowState,
 def tangent(ops: Operators, result: SteadyResult, lu,
             fields: np.ndarray) -> FlowState:
     """Derivatives of the steady state `result` of `ops` along viscosity
-    directions `fields`, (m, n_cells, 9): one solve for all m right-hand
-    sides with `lu`, the :func:`factor` of the square Newton Jacobian at
-    the state.
+    directions `fields`, (m, n_cells, 9) at the quadrature points: one
+    solve for all m right-hand sides with `lu`, the :func:`factor` of the
+    square Newton Jacobian at the state.
 
     Diffusion is linear in the viscosity, so direction ``i`` moves the
     residual by ``-D_i (u_i, p, u_d)`` with ``D_i`` the diffusion of
@@ -152,7 +154,7 @@ def tangent(ops: Operators, result: SteadyResult, lu,
     space, plan, state = ops.space, saddle_plan(ops.space), result.state
     zero = np.zeros_like(ops.divergence)
     rhs = np.column_stack([
-        residual(ops, state, plan.fill(diffusion_kernel(ops.mesh, nu), zero))
+        residual(ops, state, plan.fill(assemble_diffusion(ops.mesh, nu), zero))
         for nu in fields])
     delta = lu.solve(rhs).T
     iu = space.interior

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import SpatialField
 from .errors import FieldError, PositivityError
 from .gpc import GpcBasis
 from .randomfield import KlExpansion
@@ -52,15 +51,16 @@ class ViscosityModel:
     def dim(self) -> int:
         return self.basis.dim
 
-    def evaluate(self, xi) -> SpatialField:
-        """Realize the field at one sample point ``xi``.
+    def evaluate(self, xi) -> np.ndarray:
+        """Realize the field at one sample point ``xi``, (dim,): its values
+        at the assembly quadrature points, (n_cells, 9).
 
         Raises ``PositivityError`` when the realization is not strictly
-        positive at every quadrature point; callers record such samples
-        as failed rather than feeding them to the flow solver.
+        positive at every quadrature point (a NaN is not); callers record
+        such samples as failed rather than feeding them to the flow solver.
         """
         psi = self.basis.evaluate(np.asarray(xi, dtype=float))[0]
-        field = SpatialField(np.tensordot(psi, self.coeffs, axes=1))
+        field = np.tensordot(psi, self.coeffs, axes=1)
         low = field.min()
         if not low > 0.0:
             raise PositivityError(

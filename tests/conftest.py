@@ -9,11 +9,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from flowstab.assembly import SpatialField
+from flowstab.assembly import quad_data
 from flowstab.meshes import build_space, channel_mesh
 from flowstab.steady import build_operators, solve_steady
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def constant_field(mesh, value):
+    """A viscosity of `value` at every quadrature point, (n_cells, 9)."""
+    return np.full_like(quad_data(mesh).qw, value)
 
 
 def planted_pencil(n, seed, rightmost_re=None):
@@ -79,7 +84,7 @@ def channel_flow_pencil(nx, ny, pressure, nu, delta=-1e-2):
 
     mesh = channel_mesh(nx=nx, ny=ny, length=float(nx) / 2.0)
     space = build_space(mesh, pressure)
-    ops = build_operators(mesh, space, SpatialField.constant(mesh, nu))
+    ops = build_operators(mesh, space, constant_field(mesh, nu))
     return build_problem(ops, solve_steady(ops), delta)
 
 
@@ -132,7 +137,7 @@ def _reference_run(name):
     mesh = build_mesh(config)
     space = build_space_for(config, mesh)
     start = time.perf_counter()
-    eig = stability(mesh, space, SpatialField.constant(mesh, config.nu1),
+    eig = stability(mesh, space, constant_field(mesh, config.nu1),
                     config.solver, config.k, config.eigen_seed)[1]
     return SimpleNamespace(result=eig, seconds=time.perf_counter() - start)
 

@@ -12,12 +12,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from conftest import divergence_matrix, velocity_matrix
-from flowstab.assembly import (SpatialField, assemble_convection,
-                               assemble_diffusion, assemble_divergence,
-                               assemble_newton_derivative,
+from conftest import constant_field, divergence_matrix, velocity_matrix
+from flowstab.assembly import (assemble_convection, assemble_diffusion,
+                               assemble_divergence, assemble_newton_derivative,
                                assemble_velocity_mass, quad_data)
-from flowstab.errors import PositivityError
 from flowstab.meshes import build_space, channel_mesh, obstacle_mesh
 
 # closed-form 1D matrices for quadratic Lagrange on an interval of length h
@@ -99,7 +97,7 @@ def test_mass_matches_tensor_closed_form():
 def test_diffusion_constant_viscosity_closed_form():
     mesh = single_cell()[0]
     A = velocity_matrix(mesh, assemble_diffusion(
-        mesh, SpatialField.constant(mesh, 3.25)))
+        mesh, constant_field(mesh, 3.25)))
     want = 3.25 * (np.kron(stiffness_1d(0.7), mass_1d(2.0))
                    + np.kron(mass_1d(0.7), stiffness_1d(2.0)))
     np.testing.assert_allclose(scalar_block(A, 9), want, atol=1e-12)
@@ -110,7 +108,7 @@ def test_diffusion_variable_viscosity_against_loop(oracle):
     nu = lambda x, y: 1.0 + x + y**2
     qd = quad_data(mesh)
     A = velocity_matrix(mesh, assemble_diffusion(
-        mesh, SpatialField(nu(qd.qx, qd.qy))))
+        mesh, nu(qd.qx, qd.qy)))
     want = np.empty((9, 9))
     for a in range(9):
         for b in range(9):
@@ -124,21 +122,18 @@ def test_diffusion_variable_viscosity_against_loop(oracle):
 
 def test_diffusion_linear_in_viscosity():
     mesh = single_cell()[0]
-    a1 = assemble_diffusion(mesh, SpatialField.constant(mesh, 1.0))
-    a2 = assemble_diffusion(mesh, SpatialField.constant(mesh, 2.0))
+    a1 = assemble_diffusion(mesh, constant_field(mesh, 1.0))
+    a2 = assemble_diffusion(mesh, constant_field(mesh, 2.0))
     np.testing.assert_allclose(a2, 2.0 * a1, atol=1e-14)
-
-
-def test_nonpositive_viscosity_rejected():
-    mesh = single_cell()[0]
-    qd = quad_data(mesh)
-    field = SpatialField(qd.qx - 0.2)
-    with pytest.raises(PositivityError):
-        assemble_diffusion(mesh, field)
-    # NaN compares false both ways; it must not pass as positive
-    field = SpatialField(np.where(qd.qx > 0.3, np.nan, 1.0))
-    with pytest.raises(PositivityError):
-        assemble_diffusion(mesh, field)
+    # a coefficient that changes sign across the cell, like a viscosity
+    # derivative: diffusion stays additive and odd in it
+    signed = quad_data(mesh).qx - 0.35
+    assert signed.min() < 0.0 < signed.max()
+    np.testing.assert_allclose(assemble_diffusion(mesh, 1.0 + signed),
+                               a1 + assemble_diffusion(mesh, signed),
+                               atol=1e-13)
+    np.testing.assert_allclose(assemble_diffusion(mesh, -signed),
+                               -assemble_diffusion(mesh, signed), atol=0.0)
 
 
 def test_convection_against_loop(oracle):
@@ -253,7 +248,7 @@ def test_assembly_independent_of_cell_order():
     mesh = obstacle_mesh(refine=1)
     qd = quad_data(mesh)
     A = velocity_matrix(mesh, assemble_diffusion(
-        mesh, SpatialField(1.0 + 0.1 * qd.qx * qd.qy)))
+        mesh, 1.0 + 0.1 * qd.qx * qd.qy))
 
     shuffled = obstacle_mesh(refine=1)
     rng = np.random.default_rng(11)
@@ -263,7 +258,7 @@ def test_assembly_independent_of_cell_order():
     shuffled.cell_pnodes = shuffled.cell_pnodes[perm]
     qd2 = quad_data(shuffled)
     A2 = velocity_matrix(shuffled, assemble_diffusion(
-        shuffled, SpatialField(1.0 + 0.1 * qd2.qx * qd2.qy)))
+        shuffled, 1.0 + 0.1 * qd2.qx * qd2.qy))
     assert abs(A - A2).max() < 1e-13
 
 

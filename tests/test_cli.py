@@ -126,8 +126,8 @@ def test_spectrum_outputs(workdir, capsys):
                         eigen={"seed": 0, "k": 2},
                         paths={"outdir": "out_spec", "cache": None})
     assert main(["spectrum", "--config", str(path)]) == 0
-    rows = list(csv.reader(
-        (workdir / "out_spec" / "spectrum.csv").open()))
+    with (workdir / "out_spec" / "spectrum.csv").open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["re", "im", "role"]
     roles = [r[2] for r in rows[1:]]
     assert roles.count("rightmost") == 1
@@ -151,7 +151,8 @@ def test_spectrum_of_the_desk_configs(workdir, capsys, name, rightmost):
             in capsys.readouterr().out)
     payload = json.loads((workdir / f"out_{name}" / "spectrum.json").read_text())
     assert math.copysign(1.0, payload["rightmost"]["im"]) == 1.0
-    rows = list(csv.reader((workdir / f"out_{name}" / "spectrum.csv").open()))
+    with (workdir / f"out_{name}" / "spectrum.csv").open() as fh:
+        rows = list(csv.reader(fh))
     assert not [r for r in rows[1:] if r[1].startswith("-0.0")]
     # the next Ritz values to the right come with it
     assert [r[2] for r in rows[1:]].count("candidate") >= 3
@@ -159,6 +160,17 @@ def test_spectrum_of_the_desk_configs(workdir, capsys, name, rightmost):
 
 def test_missing_config_file_exit_2(workdir):
     assert main(["solve", "--config", str(workdir / "missing.yaml")]) == 2
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_exit_2(workdir, capsys, kind):
+    path = workdir / f"unreadable_{kind}.yaml"
+    if kind == "directory":
+        path.mkdir(exist_ok=True)
+    else:
+        path.write_bytes(b"benchmark: obstacle\n# \xff\xfe\n")
+    assert main(["solve", "--config", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_invalid_config_exit_2(workdir):
@@ -203,6 +215,36 @@ def test_cache_that_is_a_directory_exit_2(workdir, capsys, monkeypatch,
     assert main(argv) == 2
     assert "the cache path is a directory" in capsys.readouterr().err
     assert (workdir / "o3" / "sub").is_dir()
+
+
+@pytest.mark.parametrize("command", ["solve", "spectrum", "train", "assess"])
+def test_outdir_that_is_a_file_exit_2_before_any_solve(workdir, capsys,
+                                                       monkeypatch, command):
+    import flowstab.cli as cli
+
+    monkeypatch.setattr(simulate, "stability", None)
+    monkeypatch.setattr(cli, "stability", None)
+    (workdir / "o4").write_text("not a directory\n")
+    path = write_config(workdir / "fileout.yaml",
+                        paths={"outdir": "o4", "cache": "cache.jsonl"})
+    assert main([command, "--config", str(path)]) == 2
+    assert f"{workdir / 'o4'} (File exists)" in capsys.readouterr().err
+    assert (workdir / "o4").read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["train", "assess"])
+def test_surrogate_path_that_is_a_directory_exit_2(workdir, capsys,
+                                                   monkeypatch, command):
+    monkeypatch.setattr(simulate, "stability", None)
+    path = write_config(workdir / "dirsurrogate.yaml",
+                        viscosity={"covs": [0.05, 0.1]},
+                        paths={"outdir": "o5", "cache": None})
+    # the last file a train would write, so every solve would come first
+    target = surrogate_path(load_config(path), "nn", 0.1)
+    target.mkdir(parents=True, exist_ok=True)
+    assert main([command, "--config", str(path)]) == 2
+    assert f"{target}: the surrogate path is a directory" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("name, section, values, match", [

@@ -136,12 +136,12 @@ def test_deterministic_given_seed():
 
 
 def test_zero_delta_rejected():
-    from flowstab.assembly import SpatialField
+    from conftest import constant_field
     from flowstab.meshes import build_space, channel_mesh
     from flowstab.steady import build_operators, solve_steady
     mesh = channel_mesh(nx=3, ny=3, length=1.5)
     space = build_space(mesh, "q1")
-    ops = build_operators(mesh, space, SpatialField.constant(mesh, 0.05))
+    ops = build_operators(mesh, space, constant_field(mesh, 0.05))
     steady = solve_steady(ops)
     with pytest.raises(EigenError):
         build_problem(ops, steady, delta=0.0)
@@ -158,13 +158,13 @@ def test_factors_the_assembled_jacobian(monkeypatch):
     # the LU is taken of lhs as assembled: its explicit structural zeros
     # stay in the pattern the fill-reducing ordering sees
     import flowstab.eigen as eigen
-    from flowstab.assembly import SpatialField
+    from conftest import constant_field
     from flowstab.meshes import build_space, obstacle_mesh
     from flowstab.steady import build_operators, solve_steady
 
     mesh = obstacle_mesh(refine=1)
     space = build_space(mesh, "q1")
-    ops = build_operators(mesh, space, SpatialField.constant(mesh, 5.36193e-3))
+    ops = build_operators(mesh, space, constant_field(mesh, 5.36193e-3))
     problem = build_problem(ops, solve_steady(ops))
     assert np.count_nonzero(problem.lhs.data) < problem.lhs.nnz
     factored = []

@@ -62,14 +62,18 @@ def test_geometric_breaks_properties():
     np.testing.assert_allclose(uniform, np.linspace(0, 2, 9), atol=1e-15)
 
 
-def test_boundary_tags_partition_boundary_nodes():
-    mesh = obstacle_mesh(refine=1)
+@pytest.mark.parametrize("build", [obstacle_mesh, step_mesh, channel_mesh],
+                         ids=["obstacle_mesh", "step_mesh", "channel_mesh"])
+def test_boundary_tags_partition_boundary_nodes(build):
+    # build_space relies on it: each node takes the values of one tag
+    mesh = build()
     seen = np.concatenate([b.vnodes for b in mesh.boundary.values()])
     assert seen.size == np.unique(seen).size
-    # obstacle perimeter at refine=1: 2 cells per side, Q2 edge nodes
-    assert mesh.boundary["obstacle"].vnodes.size == 16
-    # left edge of the channel: 2*ny+1 fine nodes
-    assert mesh.boundary["inflow"].vnodes.size == 17
+    if build is obstacle_mesh:
+        # obstacle perimeter at refine=1: 2 cells per side, Q2 edge nodes
+        assert mesh.boundary["obstacle"].vnodes.size == 16
+        # left edge of the channel: 2*ny+1 fine nodes
+        assert mesh.boundary["inflow"].vnodes.size == 17
 
 
 def test_inflow_profile_and_wall_values():

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import constant_field
 from flowstab import eigen, simulate, steady
-from flowstab.assembly import SpatialField
 from flowstab.config import build_simulator, load_config
 from flowstab.eigen import build_problem, rightmost
 from flowstab.errors import ConfigError, ConvergenceError, EigenError
@@ -90,7 +90,7 @@ def test_run_at_zero_matches_deterministic(toy):
     record = run_one(sim, [0.0, 0.0])
     assert not record.failed
 
-    ops = build_operators(mesh, space, SpatialField.constant(mesh, NU1))
+    ops = build_operators(mesh, space, constant_field(mesh, NU1))
     steady = solve_steady(ops)
     eig = rightmost(build_problem(ops, steady))
     assert record.lam_re == pytest.approx(eig.eigenvalue.real, rel=1e-12, abs=1e-14)

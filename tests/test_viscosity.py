@@ -46,16 +46,16 @@ def test_affine_mean_and_deterministic_limit(kl):
     assert model.n_terms == 3
     np.testing.assert_allclose(model.coeffs[0], NU1)
     field = model.evaluate(np.zeros(2))
-    np.testing.assert_allclose(field.values, NU1, rtol=1e-14)
+    np.testing.assert_allclose(field, NU1, rtol=1e-14)
     frozen = build_affine(NU1, 0.0, kl, 2)
     field = frozen.evaluate(np.array([0.83, -0.41]))
-    np.testing.assert_allclose(field.values, NU1, rtol=1e-14)
+    np.testing.assert_allclose(field, NU1, rtol=1e-14)
 
 
 def test_affine_single_mode_realization(kl):
     cov = 0.1
     model = build_affine(NU1, cov, kl, 2)
-    got = model.evaluate(np.array([1.0, 0.0])).values
+    got = model.evaluate(np.array([1.0, 0.0]))
     # raw form: nu1 + sigma_nu * sqrt(3 lam_1) v_1 / probe scale, at xi_1 = 1
     s2 = np.sum(kl.eigenvalues * kl.probe_values**2)
     expect = NU1 + cov * NU1 * np.sqrt(3.0 * kl.eigenvalues[0] / s2) * kl.quad_values[0]
@@ -120,7 +120,7 @@ def test_lognormal_matches_exact_field(kl):
     for _ in range(100):
         xi = rng.standard_normal(2)
         exact = NU1 * np.exp(np.tensordot(xi, gs, axes=1) - 0.5 * np.sum(gs**2, axis=0))
-        got = model.evaluate(xi).values
+        got = model.evaluate(xi)
         worst = max(worst, float(np.max(np.abs(got - exact) / exact)))
     assert worst <= 1e-3
 
