@@ -41,26 +41,20 @@ def surrogate_path(config: ExperimentConfig, name: str, cov: float) -> Path:
     return config.outdir / f"surrogate_{name}_{cov_tag(cov)}.json"
 
 
-def surrogate_paths(config: ExperimentConfig) -> list:
-    """The surrogate files of every CoV and model."""
-    return [surrogate_path(config, name, cov)
-            for cov in config.covs for name in config.models]
-
-
-def prepare_outdir(config: ExperimentConfig, surrogates=()) -> None:
+def prepare_outdir(config: ExperimentConfig, outputs) -> None:
     """Create the output directory, before a command computes anything.
 
-    An outdir that cannot be made (a file, or a file above it) and a
-    surrogate file among `surrogates` that is a directory are a
-    :class:`ConfigError` naming the path."""
+    An outdir that cannot be made (a file, or a file above it) and a path
+    among `outputs`, the files the command writes, that is a directory
+    are a :class:`ConfigError` naming the path."""
     try:
         config.outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"paths.outdir: cannot make the directory "
                           f"{config.outdir} ({exc.strerror})")
-    for path in surrogates:
+    for path in outputs:
         if path.is_dir():
-            raise ConfigError(f"{path}: the surrogate path is a directory")
+            raise ConfigError(f"{path}: the output path is a directory")
 
 
 def design_samples(config: ExperimentConfig):
@@ -207,7 +201,9 @@ def _parse_xi(text: str | None, dim: int) -> np.ndarray:
 
 def _resolve_workers(args) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        return args.workers
     # the CPUs this process may run on, which taskset or a cpuset may limit
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
@@ -218,7 +214,8 @@ def cmd_solve(args) -> int:
     config = load_config(args.config)
     cov = config.covs[0]
     xi = _parse_xi(args.xi, config.m)
-    prepare_outdir(config)
+    prepare_outdir(config, [config.outdir / name for name in (
+        "solve.json", "velocity.npy", "pressure.npy", "solve_trace.json")])
     sim = build_simulator(config, cov, use_cache=False)
     start = time.perf_counter()
     try:
@@ -260,7 +257,8 @@ def cmd_solve(args) -> int:
 
 def cmd_spectrum(args) -> int:
     config = load_config(args.config)
-    prepare_outdir(config)
+    prepare_outdir(config, [config.outdir / name
+                            for name in ("spectrum.csv", "spectrum.json")])
     mesh = build_mesh(config)
     space = build_space_for(config, mesh)
     start = time.perf_counter()
@@ -288,7 +286,8 @@ def cmd_spectrum(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config)
     workers = _resolve_workers(args)
-    prepare_outdir(config, surrogate_paths(config))
+    prepare_outdir(config, [surrogate_path(config, name, cov)
+                            for cov in config.covs for name in config.models])
     for cov in config.covs:
         sim = build_simulator(config, cov)
         train_surrogates(config, sim, workers=workers)
@@ -300,7 +299,13 @@ def cmd_train(args) -> int:
 def cmd_assess(args) -> int:
     config = load_config(args.config)
     workers = _resolve_workers(args)
-    prepare_outdir(config, surrogate_paths(config))
+    outputs = [config.outdir / "metrics.csv"]
+    for cov in config.covs:
+        tag = cov_tag(cov)
+        outputs += [config.outdir / f"report_{tag}.json",
+                    config.outdir / f"kde_{tag}.csv"]
+        outputs += [surrogate_path(config, name, cov) for name in config.models]
+    prepare_outdir(config, outputs)
 
     reports = []
     for cov in config.covs:
@@ -357,9 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True,
                         help="experiment configuration (YAML)")
-    common.add_argument("--workers", type=int, default=None,
-                        help="simulator worker processes "
-                             "(default: logical cores)")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    sweep.add_argument("--workers", type=int, default=None,
+                       help="simulator worker processes "
+                            "(default: the CPUs this process may use)")
 
     p = sub.add_parser("solve", parents=[common],
                        help="one steady solve plus rightmost eigenvalue")
@@ -371,11 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Ritz values at the mean viscosity")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[sweep],
                        help="fit surrogates at the sparse-grid design")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("assess", parents=[common],
+    p = sub.add_parser("assess", parents=[sweep],
                        help="Monte Carlo validation tables and KDE curves")
     p.set_defaults(func=cmd_assess)
 

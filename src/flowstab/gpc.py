@@ -26,26 +26,28 @@ import numpy as np
 FAMILIES = ("hermite", "legendre")
 
 
+def compositions(total: int, parts: int):
+    """All tuples of `parts` integers >= 1 summing to `total`, lexicographic."""
+    if parts == 1:
+        yield (total,)
+        return
+    for lead in range(1, total - parts + 2):
+        for rest in compositions(total - lead, parts - 1):
+            yield (lead,) + rest
+
+
 def multi_indices(dim: int, degree: int) -> np.ndarray:
     """Table of all multi-indices in `dim` variables of total degree <= `degree`.
 
     Returns an integer array of shape ``(comb(dim+degree, degree), dim)``
-    in graded order as described in the module docstring.
+    in graded order as described in the module docstring: degree ``t`` is
+    the compositions of ``t + dim``, reverse lexicographic, less one.
     """
     if dim < 1 or degree < 0:
         raise ValueError("need dim >= 1 and degree >= 0")
-    rows = []
-
-    def fill(prefix, remaining, slots):
-        if slots == 1:
-            rows.append(prefix + [remaining])
-            return
-        for lead in range(remaining, -1, -1):
-            fill(prefix + [lead], remaining - lead, slots - 1)
-
-    for total in range(degree + 1):
-        fill([], total, dim)
-    table = np.array(rows, dtype=np.int64)
+    rows = [index for total in range(dim, dim + degree + 1)
+            for index in reversed(list(compositions(total, dim)))]
+    table = np.array(rows, dtype=np.int64) - 1
     assert table.shape == (comb(dim + degree, degree), dim)
     return table
 

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
-from .gpc import FAMILIES
+from .gpc import FAMILIES, compositions
 
 #: rounding used to identify coincident nodes across tensor rules
 _MERGE_DECIMALS = 12
@@ -73,16 +73,6 @@ class SparseGrid:
     weights: np.ndarray = field(repr=False)
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` integers >= 1 summing to `total`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for lead in range(1, total - parts + 2):
-        for rest in _compositions(total - lead, parts - 1):
-            yield (lead,) + rest
-
-
 def smolyak(family: str, dim: int, level: int) -> SparseGrid:
     """Build the Smolyak sparse grid for `dim` variables at `level`.
 
@@ -96,7 +86,7 @@ def smolyak(family: str, dim: int, level: int) -> SparseGrid:
     merged: dict[tuple, tuple[np.ndarray, float]] = {}
     for total in range(max(dim, q - dim + 1), q + 1):
         coeff = (-1.0) ** (q - total) * comb(dim - 1, q - total)
-        for index in _compositions(total, dim):
+        for index in compositions(total, dim):
             axes = [rules[i] for i in index]
             for combo in product(*(range(i) for i in index)):
                 point = np.array([axes[k][0][combo[k]] for k in range(dim)])

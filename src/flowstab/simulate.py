@@ -17,6 +17,7 @@ import multiprocessing
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -113,10 +114,8 @@ class SampleSet:
         rng = np.random.default_rng(seed)
         if distribution == "normal":
             xi = rng.standard_normal((n, dim))
-        elif distribution == "uniform":
-            xi = rng.uniform(-1.0, 1.0, size=(n, dim))
         else:
-            raise ConfigError(f"unknown distribution {distribution!r}")
+            xi = rng.uniform(-1.0, 1.0, size=(n, dim))
         return cls(xi, seed, distribution)
 
     def content_hash(self) -> str:
@@ -281,11 +280,10 @@ class Nominal:
     """The steady state, its tangent and the rightmost eigenpair at the
     germ ``xi = 0``, from which every sample starts.  `tangent` holds the
     derivatives of the state along each germ component (see
-    :func:`tangent`).  `eigen` is ``None`` when the nominal eigensolve
-    failed, and samples then sweep for their eigenvalue."""
+    :func:`tangent`)."""
 
     state: FlowState
-    eigen: Optional[EigenResult]
+    eigen: EigenResult
     tangent: FlowState
 
     def start(self, xi: np.ndarray) -> FlowState:
@@ -349,8 +347,9 @@ class Simulator:
         steady state, on one set of operators, one pencil and one LU of
         its Newton Jacobian (the pencil's ``lhs``, which the tangent and
         the origin sweep share), computed on first use and kept as
-        vectors only.  ``None`` when its steady solve fails or that
-        Jacobian does not factor: every sample then runs cold."""
+        vectors only.  ``None`` when its steady solve fails, that
+        Jacobian does not factor or its eigensolve fails: every sample
+        then runs cold."""
         xi = np.zeros(self.model.dim)
         try:
             ops = build_operators(self.mesh, self.space, self.model.evaluate(xi))
@@ -358,12 +357,9 @@ class Simulator:
             problem = build_problem(ops, steady)
             lu = factor(problem.lhs)
             slope = tangent(ops, steady, lu, self.model.gradient(xi))
-        except (PositivityError, SolverError):
-            return None
-        try:
             eig = rightmost(problem, k=self.k, seed=self.seed, lu=lu)
-        except EigenError:
-            eig = None
+        except (PositivityError, SolverError, EigenError):
+            return None
         return Nominal(steady.state, eig, slope)
 
     def solve(self, xi) -> tuple[SteadyResult, EigenResult]:
@@ -442,9 +438,12 @@ def monte_carlo(simulator: Simulator, samples: SampleSet,
                 workers: int = 1) -> McResult:
     """Evaluate the simulator on every sample.
 
-    With ``workers > 1`` the uncached samples fan out over a process pool;
-    results are reduced in sample order and cache writes stay in the parent
-    process, so the outcome is independent of scheduling.
+    The uncached samples fan out over a fork pool with no more processes
+    than `workers` or than there are such samples; with one process, or
+    where the platform cannot fork, they run in this one.  Each record is
+    stored in sample order as it arrives and cache writes stay in the
+    parent, so the outcome does not depend on scheduling and a run
+    stopped at one sample keeps the records of the samples before it.
     """
     if samples.dim != simulator.model.dim:
         raise ConfigError(
@@ -464,27 +463,25 @@ def monte_carlo(simulator: Simulator, samples: SampleSet,
         records = [cache.get(key) for key in keys]
     missing = [i for i, record in enumerate(records) if record is None]
 
-    if missing:
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = None
-        if workers > 1 and len(missing) > 1 and context is not None:
-            global _WORKER_SIM
-            _WORKER_SIM = simulator
-            simulator.nominal   # computed before the fork, so workers inherit it
-            try:
-                with ProcessPoolExecutor(max_workers=workers,
-                                         mp_context=context) as pool:
-                    fresh = list(pool.map(_worker_run,
-                                          [samples.xi[i] for i in missing]))
-            finally:
-                _WORKER_SIM = None
-        else:
-            fresh = [simulator.compute(samples.xi[i]) for i in missing]
-        for i, record in zip(missing, fresh):
-            records[i] = record
-            if cache is not None:
-                cache.put(keys[i], record)
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        context = None
+    workers = min(workers, len(missing)) if context is not None else 1
+    global _WORKER_SIM
+    _WORKER_SIM = simulator
+    if workers > 1:
+        simulator.nominal   # computed before the fork, so workers inherit it
+    try:
+        with (ProcessPoolExecutor(max_workers=workers, mp_context=context)
+              if workers > 1 else nullcontext()) as pool:
+            fresh = (pool.map(_worker_run, samples.xi[missing]) if pool
+                     else map(simulator.compute, samples.xi[missing]))
+            for i, record in zip(missing, fresh):
+                records[i] = record
+                if cache is not None:
+                    cache.put(keys[i], record)
+    finally:
+        _WORKER_SIM = None
 
     return McResult(tuple(records), samples.content_hash())

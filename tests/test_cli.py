@@ -17,7 +17,7 @@ import yaml
 from conftest import CONFIGS
 from flowstab import simulate
 from flowstab.cli import _resolve_workers, main, surrogate_path
-from flowstab.config import build_simulator, load_config
+from flowstab.config import build_simulator, cov_tag, load_config
 from flowstab.errors import ConvergenceError
 from flowstab.surrogates import FIT
 
@@ -232,19 +232,60 @@ def test_outdir_that_is_a_file_exit_2_before_any_solve(workdir, capsys,
     assert (workdir / "o4").read_text() == "not a directory\n"
 
 
-@pytest.mark.parametrize("command", ["train", "assess"])
-def test_surrogate_path_that_is_a_directory_exit_2(workdir, capsys,
-                                                   monkeypatch, command):
+@pytest.mark.parametrize("command, name", [
+    ("train", "surrogate_nn_{tag}.json"),
+    ("assess", "surrogate_nn_{tag}.json"),
+    ("assess", "report_{tag}.json"),
+    ("assess", "kde_{tag}.csv"),
+    ("assess", "metrics.csv"),
+    ("solve", "solve.json"),
+    ("solve", "velocity.npy"),
+    ("solve", "pressure.npy"),
+    ("solve", "solve_trace.json"),
+    ("spectrum", "spectrum.csv"),
+    ("spectrum", "spectrum.json"),
+], ids=["train", "assess", "assess-report", "assess-kde", "assess-metrics",
+        "solve-json", "solve-velocity", "solve-pressure", "solve-trace",
+        "spectrum-csv", "spectrum-json"])
+def test_surrogate_path_that_is_a_directory_exit_2(tmp_path, capsys,
+                                                   monkeypatch, command, name):
+    import flowstab.cli as cli
+
     monkeypatch.setattr(simulate, "stability", None)
-    path = write_config(workdir / "dirsurrogate.yaml",
+    monkeypatch.setattr(cli, "stability", None)
+    path = write_config(tmp_path / "dirout.yaml",
                         viscosity={"covs": [0.05, 0.1]},
                         paths={"outdir": "o5", "cache": None})
-    # the last file a train would write, so every solve would come first
-    target = surrogate_path(load_config(path), "nn", 0.1)
-    target.mkdir(parents=True, exist_ok=True)
+    # of the last CoV, so every solve before it would come first
+    target = load_config(path).outdir / name.format(tag=cov_tag(0.1))
+    target.mkdir(parents=True)
     assert main([command, "--config", str(path)]) == 2
-    assert f"{target}: the surrogate path is a directory" in (
+    assert f"{target}: the output path is a directory" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", [["solve"], ["spectrum"],
+                                     ["cache", "inspect"]],
+                         ids=["solve", "spectrum", "cache"])
+def test_workers_is_an_option_of_train_and_assess_only(config_path, capsys,
+                                                       command):
+    with pytest.raises(SystemExit) as done:
+        main([*command, "--config", str(config_path), "--workers", "7"])
+    assert done.value.code == 2
+    assert "unrecognized arguments: --workers 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["train", "assess"])
+def test_workers_below_one_exit_2(workdir, capsys, monkeypatch, command,
+                                  workers):
+    monkeypatch.setattr(simulate, "stability", None)
+    path = write_config(workdir / "noworkers.yaml",
+                        paths={"outdir": "o6", "cache": "cache.jsonl"})
+    assert main([command, "--config", str(path), "--workers", workers]) == 2
+    assert f"--workers must be >= 1, got {workers}" in (
+        capsys.readouterr().err)
+    assert not (workdir / "o6").exists()
 
 
 @pytest.mark.parametrize("name, section, values, match", [

@@ -4,7 +4,6 @@ Everything runs on a deliberately tiny straight channel so a full
 steady-plus-eigen solve takes milliseconds.
 """
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -77,7 +76,7 @@ def test_sample_set_uniform_bounds():
     assert s.xi.min() >= -1.0 and s.xi.max() <= 1.0
     # a normal draw of this size always escapes the unit box
     assert np.abs(SampleSet.draw(500, 2, "normal", seed=1).xi).max() > 1.0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown distribution 'lognormal'"):
         SampleSet.draw(10, 2, "lognormal", seed=0)
     with pytest.raises(ConfigError):
         SampleSet.draw(0, 2, "normal", seed=0)
@@ -512,47 +511,36 @@ def test_singular_nominal_jacobian_leaves_every_sample_cold(toy, monkeypatch):
     assert result.n_failed == 0
 
 
-def test_failed_nominal_leaves_every_sample_cold(toy, monkeypatch):
-    sim = make_sim(toy)
-    original = simulate.solve_steady
-    starts = []
+@pytest.mark.parametrize("stage", ["steady-solve", "eigensolve"])
+def test_failed_nominal_leaves_every_sample_cold(toy, monkeypatch, stage):
+    solve, eig = simulate.solve_steady, simulate.rightmost
+    starts, nears = [], []
 
-    def nominal_fails(ops, settings=None, start=None):
+    def solve_spy(ops, settings=None, start=None):
         starts.append(start)
-        if len(starts) == 1:
+        if stage == "steady-solve" and len(starts) == 1:
             raise ConvergenceError("nominal solve failed", [])
-        return original(ops, settings, start)
+        return solve(ops, settings, start)
 
-    monkeypatch.setattr(simulate, "solve_steady", nominal_fails)
+    def eig_spy(problem, k=24, seed=0, near=None, lu=None):
+        nears.append(near)
+        if stage == "eigensolve" and len(nears) == 1:
+            raise EigenError("nominal eigensolve failed")
+        return eig(problem, k, seed, near, lu)
+
+    monkeypatch.setattr(simulate, "solve_steady", solve_spy)
+    monkeypatch.setattr(simulate, "rightmost", eig_spy)
+    sim = make_sim(toy)
     samples = SampleSet.draw(3, 2, "uniform", seed=6)
     result = monte_carlo(sim, samples)
     assert sim.nominal is None
+    # the nominal's chain, then every sample's, all cold
     assert starts == [None] * 4
-    assert result.n_failed == 0
-
-
-def test_failed_nominal_eigensolve_leaves_every_sample_on_the_sweep(
-        toy, monkeypatch):
-    sim = make_sim(toy)
-    original = simulate.rightmost
-    nears = []
-
-    def nominal_fails(problem, k=24, seed=0, near=None, lu=None):
-        nears.append(near)
-        if len(nears) == 1:
-            raise EigenError("nominal eigensolve failed")
-        return original(problem, k, seed, near, lu)
-
-    monkeypatch.setattr(simulate, "rightmost", nominal_fails)
-    samples = SampleSet.draw(3, 2, "uniform", seed=6)
-    result = monte_carlo(sim, samples)
-    # the nominal steady state still starts every sample
-    assert sim.nominal.state is not None and sim.nominal.eigen is None
-    assert nears == [None] * 4
-    monkeypatch.setattr(simulate, "rightmost", original)
-    sweep = make_sim(toy)
-    sweep.nominal = dataclasses.replace(sweep.nominal, eigen=None)
-    assert monte_carlo(sweep, samples).records == result.records
+    assert nears == [None] * (4 if stage == "eigensolve" else 3)
+    monkeypatch.undo()
+    cold = make_sim(toy)
+    cold.nominal = None
+    assert monte_carlo(cold, samples).records == result.records
     assert result.n_failed == 0
 
 
@@ -575,6 +563,46 @@ def test_all_cached_monte_carlo_never_solves(toy, tmp_path, monkeypatch):
     for workers in (1, 2):
         assert monte_carlo(fresh, samples, workers=workers).records == first.records
     assert "nominal" not in fresh.__dict__
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupted_sweep_keeps_the_records_before_it(toy, tmp_path,
+                                                       monkeypatch, workers):
+    samples = SampleSet.draw(6, 2, "uniform", seed=4)
+    original = Simulator.compute
+
+    def fourth_raises(self, xi):
+        if np.array_equal(xi, samples.xi[3]):
+            raise RuntimeError("interrupted at the fourth sample")
+        return original(self, xi)
+
+    # patched before the fork, so pool workers run it too
+    monkeypatch.setattr(Simulator, "compute", fourth_raises)
+    sim = make_sim(toy)
+    sim.attach_cache(tmp_path / "cache.jsonl")
+    with pytest.raises(RuntimeError, match="fourth sample"):
+        monte_carlo(sim, samples, workers=workers)
+    lines = (tmp_path / "cache.jsonl").read_text().splitlines()
+    assert [json.loads(line)["xi"] for line in lines] == samples.xi[:3].tolist()
+
+
+def test_pool_is_no_larger_than_the_missing_samples(toy, monkeypatch):
+    sizes = []
+    real = simulate.ProcessPoolExecutor
+
+    def spy(max_workers=None, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", spy)
+    sim = make_sim(toy)
+    samples = SampleSet.draw(2, 2, "uniform", seed=3)
+    result = monte_carlo(sim, samples, workers=8)
+    assert sizes == [2]
+    # one missing sample runs in this process
+    monte_carlo(sim, SampleSet.draw(1, 2, "uniform", seed=5), workers=8)
+    assert sizes == [2]
+    assert result.records == monte_carlo(make_sim(toy), samples).records
 
 
 # -- one BLAS thread per process ---------------------------------------------
