@@ -35,7 +35,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from .errors import EigenError
 from .assembly import saddle_plan
-from .steady import Operators, SteadyResult, newton_operator
+from .steady import PIVOT_THRESHOLD, Operators, SteadyResult, newton_operator
 
 #: exclusion radius around 1/delta, relative to |1/delta|
 _CLUSTER_RTOL = 0.01
@@ -198,7 +198,8 @@ def rightmost(problem: EigenProblem, k: int = 24, seed: int = 0,
             return tracked
     if lu is None:
         try:
-            lu = splu(problem.lhs.tocsc())
+            lu = splu(problem.lhs.tocsc(),
+                      diag_pivot_thresh=PIVOT_THRESHOLD)
         except RuntimeError as exc:
             raise EigenError(
                 f"factorization of the Jacobian failed: {exc}") from exc
@@ -239,7 +240,7 @@ def _tracked(problem: EigenProblem, near: EigenResult) -> EigenResult | None:
     shifted = sparse.csc_matrix((lhs.data - sigma * rhs.data, lhs.indices,
                                  lhs.indptr), shape=lhs.shape)
     try:
-        lu = splu(shifted)
+        lu = splu(shifted, diag_pivot_thresh=PIVOT_THRESHOLD)
     except RuntimeError:
         return None
     op = LinearOperator(shifted.shape, matvec=lambda x: lu.solve(rhs @ x),

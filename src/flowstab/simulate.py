@@ -72,7 +72,8 @@ _one_blas_thread()
 #:    entries in a new order
 #: 5: the rightmost eigenvalue tracked from the nominal eigenpair
 #: 6: Newton from the tangent prediction of the steady state
-ALGORITHM = 6
+#: 7: chord steps from that prediction, and threshold pivoting in every LU
+ALGORITHM = 7
 
 #: basis family -> sampling distribution of the germ
 FAMILY_DISTRIBUTION = {"hermite": "normal", "legendre": "uniform"}
@@ -262,9 +263,9 @@ def stability(mesh: Mesh, space: MixedSpace, viscosity: np.ndarray,
               near: EigenResult | None = None) -> tuple[SteadyResult, EigenResult]:
     """Steady state and rightmost eigenpair for one viscosity field, its
     values at the quadrature points, (n_cells, 9): the one stability
-    chain that every caller runs.  The steady solve is
-    Newton from `start` when one is given (see :func:`solve_steady`), and
-    the eigenvalue is tracked from `near` when one is given (see
+    chain that every caller runs.  The steady solve is a chord iteration
+    from `start` when one is given (see :func:`solve_steady`), and the
+    eigenvalue is tracked from `near` when one is given (see
     :func:`rightmost`).
 
     Raises :class:`SolverError` or :class:`EigenError` on failure.

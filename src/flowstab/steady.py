@@ -8,15 +8,22 @@ the Newton Jacobian adds the velocity-gradient coupling to the same
 element matrices.  The residual is the right-hand side of the correction
 that leads to the next iterate.  The initial iterate is the Stokes
 solution, the first correction from the lift state (boundary values, zero
-pressure) with diffusion alone; or, when the caller hands in a start state
-(the steady state of a nearby viscosity field, or its first-order
-prediction from :func:`tangent`), that state, from which only Newton steps
-are taken; a start that fails falls back to the Stokes path.
+pressure) with diffusion alone.
+
+When the caller hands in a start state (the steady state of a nearby
+viscosity field, or its first-order prediction from :func:`tangent`), the
+solve is a chord iteration from it instead: the Newton Jacobian is factored
+once, at the start, and that LU serves every correction; it is factored
+again, at the current iterate, only after a step that fails to halve the
+residual (Shamanskii's method; Kelley, *Iterative Methods for Linear and
+Nonlinear Equations*, SIAM 1995, ch. 5).  A start that fails falls back to
+the Stokes path.
 
 Convergence is measured by the Euclidean norm of the reduced residual
 (interior velocity and all pressure rows) relative to the Stokes residual
 at the lift state, formed once per solve.  Linear systems use a sparse
-direct factorization; there is no line search.
+direct factorization with threshold partial pivoting; there is no line
+search.
 """
 
 from __future__ import annotations
@@ -39,8 +46,21 @@ from .meshes import Mesh, MixedSpace
 #: the solution as the Stokes -> Picard -> Newton path does
 _REL_TOL = 1e-10
 
-#: abort after this many consecutive residual increases in the Newton phase
+#: abort after this many consecutive residual increases in the Newton or
+#: chord phase
 _DIVERGENCE_PATIENCE = 5
+
+#: SuperLU keeps a diagonal pivot of at least this share of its column's
+#: largest entry (threshold partial pivoting; Duff, Erisman and Reid,
+#: *Direct Methods for Sparse Matrices*; UMFPACK's default).  Against
+#: partial pivoting (1.0) it cut the L+U fill of the refine-2 Jacobians by
+#: 24-36% and kept solve residuals at their level; 0.01 was no faster and
+#: raised the residual of the shifted step pencil from 2.4e-11 to 1.5e-9
+PIVOT_THRESHOLD = 0.1
+
+#: a chord step that leaves more than this share of the residual has the
+#: Jacobian factored again at its iterate
+_CHORD_CONTRACTION = 0.5
 
 
 @dataclass
@@ -94,7 +114,7 @@ def factor(matrix: sparse.csc_matrix):
     """The LU of a square saddle matrix; raises
     :class:`RankDeficiencyError` when it is singular."""
     try:
-        return splu(matrix)
+        return splu(matrix, diag_pivot_thresh=PIVOT_THRESHOLD)
     except RuntimeError as exc:
         raise RankDeficiencyError(f"saddle-point factorization failed: {exc}") from exc
 
@@ -132,8 +152,16 @@ def nonlinear_step(ops: Operators, state: FlowState,
                    matrix: sparse.csc_matrix, res: np.ndarray) -> FlowState:
     """One correction from `state`: the square part of the filled saddle
     matrix `matrix` solved for `res`, the residual at `state`."""
+    return _correct(ops, state, factor(saddle_plan(ops.space).square(matrix)),
+                    res)
+
+
+def _correct(ops: Operators, state: FlowState, lu,
+             res: np.ndarray) -> FlowState:
+    """The correction from `state` that `lu`, the LU of a square saddle
+    matrix, solves for `res`, the residual at `state`."""
     iu = ops.space.interior
-    delta = factor(saddle_plan(ops.space).square(matrix)).solve(res)
+    delta = lu.solve(res)
     velocity = state.velocity.copy()
     velocity[iu] += delta[:iu.size]
     return FlowState(velocity, state.pressure + delta[iu.size:])
@@ -168,10 +196,10 @@ def solve_steady(ops: Operators, settings: SolverSettings | None = None,
     """Steady state for `ops`.
 
     With a `start` state (which must hold the boundary values of `ops`),
-    the `newton_steps` budget of Newton steps is taken from it.  Without
-    one, or when that attempt raises any :class:`SolverError`, the hybrid
-    continuation runs: Stokes start, Picard steps, then Newton; its result
-    does not depend on `start`.
+    at most `newton_steps` chord corrections are taken from it (see
+    :func:`_chord`).  Without one, or when that attempt raises any
+    :class:`SolverError`, the hybrid continuation runs: Stokes start,
+    Picard steps, then Newton; its result does not depend on `start`.
 
     Raises :class:`ConvergenceError` (with the residual trace attached)
     when the budget is exhausted above tolerance or the Newton phase
@@ -186,8 +214,7 @@ def solve_steady(ops: Operators, settings: SolverSettings | None = None,
     reference = float(np.linalg.norm(rhs))
     if start is not None:
         try:
-            return _iterate(ops, reference, start, "warm",
-                            ["newton"] * settings.newton_steps)
+            return _chord(ops, reference, start, settings.newton_steps)
         except SolverError:
             pass
     return _iterate(ops, reference, nonlinear_step(ops, lift, stokes, rhs),
@@ -224,6 +251,50 @@ def _iterate(ops: Operators, reference: float, state: FlowState, kind: str,
             matrix = plan.fill(newton_operator(ops, state.velocity, picard),
                                ops.divergence)
         state = nonlinear_step(ops, state, matrix, res)
+
+    if res_norm > target:
+        raise ConvergenceError(
+            f"residual {res_norm:.3e} above target {target:.3e} "
+            f"after {len(trace) - 1} steps", trace)
+    return SteadyResult(state, res_norm, reference, trace, picard)
+
+
+def _chord(ops: Operators, reference: float, state: FlowState,
+           budget: int) -> SteadyResult:
+    """At most `budget` corrections from the start `state` until the
+    residual meets the target, each with the LU of the Newton Jacobian at
+    the start.  A step that fails to halve the residual has the Jacobian
+    factored again at its iterate, and the corrections go on with that LU.
+
+    The first trace entry is of kind ``warm``; a later one is ``newton``
+    when its step factored the Jacobian and ``chord`` when it reused an
+    LU.  Raises :class:`ConvergenceError` like :func:`_iterate`.
+    """
+    target = _REL_TOL * reference
+    plan = saddle_plan(ops.space)
+    trace, growth, lu, kind = [], 0, None, "warm"
+    while True:
+        picard = picard_operator(ops, state.velocity)
+        matrix = plan.fill(picard, ops.divergence)
+        res = residual(ops, state, matrix)
+        res_norm = float(np.linalg.norm(res))
+        trace.append({"step": len(trace), "kind": kind, "residual": res_norm})
+        if not np.isfinite(res_norm):
+            raise ConvergenceError(f"{kind} step produced non-finite residual", trace)
+        if lu is not None:
+            growth = growth + 1 if res_norm >= trace[-2]["residual"] else 0
+            if growth >= _DIVERGENCE_PATIENCE:
+                raise ConvergenceError(
+                    f"chord phase diverged for {growth} consecutive steps", trace)
+        if res_norm <= target or len(trace) > budget:
+            break
+        if lu is None or res_norm > _CHORD_CONTRACTION * trace[-2]["residual"]:
+            jacobian = newton_operator(ops, state.velocity, picard)
+            lu = factor(plan.square(plan.fill(jacobian, ops.divergence)))
+            kind = "newton"
+        else:
+            kind = "chord"
+        state = _correct(ops, state, lu, res)
 
     if res_norm > target:
         raise ConvergenceError(

@@ -169,8 +169,8 @@ def test_factors_the_assembled_jacobian(monkeypatch):
     assert np.count_nonzero(problem.lhs.data) < problem.lhs.nnz
     factored = []
     original = eigen.splu
-    monkeypatch.setattr(eigen, "splu",
-                        lambda matrix: factored.append(matrix) or original(matrix))
+    monkeypatch.setattr(eigen, "splu", lambda matrix, **kwargs:
+                        factored.append(matrix) or original(matrix, **kwargs))
     rightmost(problem, k=24)
     assert len(factored) == 1
     assert factored[0].nnz == problem.lhs.nnz
@@ -185,8 +185,8 @@ def test_edge_guard_retry_reuses_the_factorization(monkeypatch):
     problem = EigenProblem(J, M)
     factored = []
     original = eigen.splu
-    monkeypatch.setattr(eigen, "splu",
-                        lambda matrix: factored.append(1) or original(matrix))
+    monkeypatch.setattr(eigen, "splu", lambda matrix, **kwargs:
+                        factored.append(1) or original(matrix, **kwargs))
     result = rightmost(problem, k=2)
     assert len(factored) == 1
     assert result.k == 4

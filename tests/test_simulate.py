@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -291,7 +292,7 @@ def test_singular_steady_solve_fails_only_its_sample(toy, monkeypatch):
     sim = make_sim(toy)
     samples = SampleSet.draw(2, 2, "uniform", seed=4)
 
-    def singular(matrix):
+    def singular(matrix, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(steady, "splu", singular)
@@ -381,16 +382,16 @@ def test_warm_start_stays_on_the_cold_eigenvalue_at_tail_germs(name, germs):
 
 
 #: rightmost eigenvalues at the tail germs (CoV 0.10) as the chain
-#: computes them from the tangent start (ALGORITHM 6); a change that only
+#: computes them from the tangent start (ALGORITHM 7); a change that only
 #: reorders sums moves them by far less than the bound below
 RECORDED_TAIL_EIGENVALUES = {
-    "obstacle_desk": {(3.0, 0.0): -0.29840403750902256,
-                      (-3.0, 3.0): -0.17959715630921544,
-                      (2.12, 2.12): -0.27735311528306295},
-    "step_desk": {(0.95, 0.95): -0.010537129592094099,
-                  (0.95, -0.95): 0.001325548263567016,
-                  (-0.95, 0.95): -0.0023213254691067816,
-                  (-0.95, -0.95): 0.007771326855203208},
+    "obstacle_desk": {(3.0, 0.0): -0.2984040375118842,
+                      (-3.0, 3.0): -0.1795971563078974,
+                      (2.12, 2.12): -0.27735311528302203},
+    "step_desk": {(0.95, 0.95): -0.010537129592046675,
+                  (0.95, -0.95): 0.0013255482635670932,
+                  (-0.95, 0.95): -0.0023213254691068336,
+                  (-0.95, -0.95): 0.007771326857670768},
 }
 
 
@@ -401,6 +402,62 @@ def test_tail_germ_eigenvalues_match_recorded_values(name):
     for xi, value in RECORDED_TAIL_EIGENVALUES[name].items():
         lam = sim.solve(xi)[1].eigenvalue
         assert abs(lam - value) <= 1e-12, xi
+
+
+def count_factorizations(monkeypatch) -> Counter:
+    """Wrap ``splu`` of the steady and eigen modules so that each call is
+    counted under the module's name."""
+    counts = Counter()
+
+    def counter(name, original):
+        def counted(matrix, **kwargs):
+            counts[name] += 1
+            return original(matrix, **kwargs)
+        return counted
+
+    for name, module in (("steady", steady), ("eigen", eigen)):
+        monkeypatch.setattr(module, "splu", counter(name, module.splu))
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_TAIL_EIGENVALUES))
+def test_warm_solve_factors_one_steady_and_one_eigen_matrix(name, monkeypatch):
+    # the chord steps reuse the LU of the Jacobian at the tangent start, so
+    # even the tail germs take one steady factorization
+    sim = build_simulator(load_config(CONFIGS / f"{name}.yaml"), 0.10,
+                          use_cache=False)
+    sim.nominal
+    counts = count_factorizations(monkeypatch)
+    for xi in RECORDED_TAIL_EIGENVALUES[name]:
+        counts.clear()
+        warm_steady, warm = sim.solve(xi)
+        assert counts == {"steady": 1, "eigen": 1}, xi
+        kinds = [entry["kind"] for entry in warm_steady.trace]
+        assert kinds[:2] == ["warm", "newton"], xi
+        assert set(kinds[2:]) == {"chord"}, xi
+        cold = stability(sim.mesh, sim.space, sim.model.evaluate(np.array(xi)),
+                         sim.settings, sim.k, sim.seed)[1]
+        assert abs(warm.eigenvalue - cold.eigenvalue) <= 1e-9, xi
+
+
+def test_threshold_lu_of_the_shifted_step_pencil_keeps_its_residual(monkeypatch):
+    # J - lambda0 M_delta at a germ near the nominal one is near-singular by
+    # design; threshold pivoting must not cost the tracked solve accuracy
+    sim = build_simulator(load_config(CONFIGS / "step_desk.yaml"), 0.10,
+                          use_cache=False)
+    sim.nominal
+    factored, original = [], eigen.splu
+    monkeypatch.setattr(eigen, "splu", lambda matrix, **kwargs:
+                        factored.append((matrix, kwargs))
+                        or original(matrix, **kwargs))
+    assert sim.solve((0.6, -0.4))[1].method == "tracked"
+    (shifted, kwargs), = factored
+    assert kwargs == {"diag_pivot_thresh": steady.PIVOT_THRESHOLD}
+    b = np.random.default_rng(0).standard_normal(shifted.shape[0])
+    x = original(shifted, **kwargs).solve(b)
+    assert np.linalg.norm(x) > 1e4 * np.linalg.norm(b)
+    # measured 7.8e-12, and 3.1e-12 with partial pivoting
+    assert np.linalg.norm(shifted @ x - b) <= 1e-9 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_TAIL_EIGENVALUES))
@@ -444,6 +501,32 @@ def test_failed_warm_start_gives_the_cold_record(toy, spoil):
     assert sim.compute(xi) == cold.compute(xi)
 
 
+def test_diverging_warm_start_gives_the_cold_record():
+    # ten times the nominal velocity: the chord steps drive the residual up
+    # until the budget runs out, and the sample falls back to the cold path
+    sim = build_simulator(load_config(CONFIGS / "step_desk.yaml"), 0.10,
+                          use_cache=False)
+    state, slope = sim.nominal.state, sim.nominal.tangent
+    velocity = state.velocity.copy()
+    velocity[sim.space.interior] *= 10.0
+    spoiled = FlowState(velocity, state.pressure)
+    xi = np.array([0.95, 0.95])
+    ops = build_operators(sim.mesh, sim.space, sim.model.evaluate(xi))
+    reference = solve_steady(ops, sim.settings).reference
+    with pytest.raises(ConvergenceError) as info:
+        steady._chord(ops, reference, spoiled, sim.settings.newton_steps)
+    norms = [entry["residual"] for entry in info.value.trace]
+    assert norms[-1] > 1e3 * norms[0]
+    # no nominal eigenpair on either side: both sweep
+    sim.nominal = Nominal(spoiled, None, FlowState(np.zeros_like(slope.velocity),
+                                                   np.zeros_like(slope.pressure)))
+    cold = build_simulator(load_config(CONFIGS / "step_desk.yaml"), 0.10,
+                           use_cache=False)
+    cold.nominal = None
+    assert sim.solve(xi)[0].trace[0]["kind"] == "stokes"
+    assert sim.compute(xi) == cold.compute(xi)
+
+
 def test_nominal_builds_one_operator_set_and_one_jacobian(toy, monkeypatch):
     calls = {"build_operators": 0, "newton_operator": 0, "splu": 0}
     inside_solve = []
@@ -467,11 +550,11 @@ def test_nominal_builds_one_operator_set_and_one_jacobian(toy, monkeypatch):
             calls["newton_operator"] += 1
         return original_newton(*args)
 
-    def lu(matrix):
+    def lu(matrix, **kwargs):
         # the Newton steps factor their own Jacobians too
         if not inside_solve:
             calls["splu"] += 1
-        return original_splu(matrix)
+        return original_splu(matrix, **kwargs)
 
     monkeypatch.setattr(simulate, "build_operators", build)
     monkeypatch.setattr(simulate, "solve_steady", solve)
@@ -489,7 +572,7 @@ def test_nominal_builds_one_operator_set_and_one_jacobian(toy, monkeypatch):
 def test_singular_nominal_jacobian_leaves_every_sample_cold(toy, monkeypatch):
     original, real_splu = simulate.factor, steady.splu
 
-    def singular(matrix):
+    def singular(matrix, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     def singular_factor(*args):

@@ -168,6 +168,34 @@ def test_budget_exhaustion_raises_with_trace():
     assert info.value.trace[-1]["residual"] > 0
 
 
+def test_chord_refactors_after_a_step_that_fails_to_halve(monkeypatch):
+    # from the tangent prediction at -xi, the first Newton step at the
+    # obstacle's tail germ xi leaves half its residual, so the Jacobian is
+    # factored again before the chord steps take over
+    import flowstab.steady as steady
+    from flowstab.config import build_simulator, load_config
+
+    sim = build_simulator(load_config(CONFIG_DIR / "obstacle_desk.yaml"), 0.1,
+                          use_cache=False)
+    xi = np.array([-3.0, 3.0])
+    ops = build_operators(sim.mesh, sim.space, sim.model.evaluate(xi))
+    start = sim.nominal.start(-xi)
+    factored, original = [], steady.splu
+    monkeypatch.setattr(steady, "splu", lambda matrix, **kwargs:
+                        factored.append(1) or original(matrix, **kwargs))
+    result = solve_steady(ops, sim.settings, start)
+    kinds = [entry["kind"] for entry in result.trace]
+    norms = [entry["residual"] for entry in result.trace]
+    assert result.residual <= 1e-10 * result.reference
+    assert kinds[:3] == ["warm", "newton", "newton"]
+    assert "chord" in kinds
+    # each step's LU is new exactly when the step before did not halve
+    for i in range(2, len(kinds)):
+        stalled = norms[i - 1] > 0.5 * norms[i - 2]
+        assert kinds[i] == ("newton" if stalled else "chord"), i
+    assert len(factored) == kinds.count("newton")
+
+
 def reference_saddle(space, momentum, div, scale=1.0):
     """``[[A_ii, s B_i^T], [s B_i, 0]]`` by scipy slicing and ``bmat``."""
     iu = space.interior
