@@ -196,14 +196,10 @@ def rightmost(problem: EigenProblem, k: int = 24, seed: int = 0,
         tracked = _tracked(problem, near)
         if tracked is not None:
             return tracked
-    if lu is None:
-        try:
-            lu = splu(problem.lhs.tocsc(),
-                      diag_pivot_thresh=PIVOT_THRESHOLD)
-        except RuntimeError as exc:
-            raise EigenError(
-                f"factorization of the Jacobian failed: {exc}") from exc
-    op = LinearOperator((n, n), matvec=lambda x: lu.solve(problem.rhs @ x))
+    try:
+        op = _shift_invert(problem.lhs.tocsc(), problem.rhs, lu)
+    except RuntimeError as exc:
+        raise EigenError(f"factorization of the Jacobian failed: {exc}") from exc
     k_eff = min(k, n - 2)
     result, edge = _window(problem, op, k_eff, seed)
     if edge and k_eff < n - 2:
@@ -240,11 +236,9 @@ def _tracked(problem: EigenProblem, near: EigenResult) -> EigenResult | None:
     shifted = sparse.csc_matrix((lhs.data - sigma * rhs.data, lhs.indices,
                                  lhs.indptr), shape=lhs.shape)
     try:
-        lu = splu(shifted, diag_pivot_thresh=PIVOT_THRESHOLD)
+        op = _shift_invert(shifted, rhs)
     except RuntimeError:
         return None
-    op = LinearOperator(shifted.shape, matvec=lambda x: lu.solve(rhs @ x),
-                        dtype=shifted.dtype)
     try:
         theta, vecs = eigs(op, k=1, ncv=_TRACK_NCV, which="LM", v0=v0,
                            tol=_TRACK_TOL)
@@ -258,6 +252,16 @@ def _tracked(problem: EigenProblem, near: EigenResult) -> EigenResult | None:
         return None
     return EigenResult(complex(value), vec, np.array([complex(value)]),
                        np.empty(0, dtype=complex), residual, 1, "tracked")
+
+
+def _shift_invert(lhs: sparse.csc_matrix, rhs: sparse.spmatrix,
+                  lu=None) -> LinearOperator:
+    """``lhs^-1 rhs`` for ARPACK, solved with `lu`, the LU of `lhs`, or
+    with a new one; raises the ``RuntimeError`` of a singular `lhs`."""
+    if lu is None:
+        lu = splu(lhs, diag_pivot_thresh=PIVOT_THRESHOLD)
+    return LinearOperator(lhs.shape, matvec=lambda x: lu.solve(rhs @ x),
+                          dtype=np.result_type(lhs.dtype, rhs.dtype))
 
 
 def _window(problem: EigenProblem, op: LinearOperator, k: int,

@@ -10,14 +10,14 @@ that leads to the next iterate.  The initial iterate is the Stokes
 solution, the first correction from the lift state (boundary values, zero
 pressure) with diffusion alone.
 
-When the caller hands in a start state (the steady state of a nearby
-viscosity field, or its first-order prediction from :func:`tangent`), the
-solve is a chord iteration from it instead: the Newton Jacobian is factored
-once, at the start, and that LU serves every correction; it is factored
-again, at the current iterate, only after a step that fails to halve the
-residual (Shamanskii's method; Kelley, *Iterative Methods for Linear and
-Nonlinear Equations*, SIAM 1995, ch. 5).  A start that fails falls back to
-the Stokes path.
+One loop takes every correction.  A ``picard`` or ``newton`` step factors
+its own matrix; a ``chord`` step reuses the LU of the Newton or chord step
+before it unless that step failed to halve the residual (Shamanskii's
+method; Kelley, *Iterative Methods for Linear and Nonlinear Equations*,
+SIAM 1995, ch. 5).  From the Stokes solution the steps are Picard, then
+Newton; from a start state the caller hands in (a nearby steady state, or
+its first-order prediction from :func:`tangent`) they are chord steps, and
+a start that fails falls back to the Stokes path.
 
 Convergence is measured by the Euclidean norm of the reduced residual
 (interior velocity and all pressure rows) relative to the Stokes residual
@@ -46,8 +46,8 @@ from .meshes import Mesh, MixedSpace
 #: the solution as the Stokes -> Picard -> Newton path does
 _REL_TOL = 1e-10
 
-#: abort after this many consecutive residual increases in the Newton or
-#: chord phase
+#: abort after this many consecutive Newton or chord iterates whose residual
+#: is not below the lowest one before them in the phase
 _DIVERGENCE_PATIENCE = 5
 
 #: SuperLU keeps a diagonal pivot of at least this share of its column's
@@ -58,8 +58,8 @@ _DIVERGENCE_PATIENCE = 5
 #: raised the residual of the shifted step pencil from 2.4e-11 to 1.5e-9
 PIVOT_THRESHOLD = 0.1
 
-#: a chord step that leaves more than this share of the residual has the
-#: Jacobian factored again at its iterate
+#: a chord step reuses the LU of a Newton or chord step that left at most
+#: this share of the residual; otherwise it factors the Jacobian again
 _CHORD_CONTRACTION = 0.5
 
 
@@ -196,14 +196,14 @@ def solve_steady(ops: Operators, settings: SolverSettings | None = None,
     """Steady state for `ops`.
 
     With a `start` state (which must hold the boundary values of `ops`),
-    at most `newton_steps` chord corrections are taken from it (see
-    :func:`_chord`).  Without one, or when that attempt raises any
-    :class:`SolverError`, the hybrid continuation runs: Stokes start,
-    Picard steps, then Newton; its result does not depend on `start`.
+    at most `newton_steps` chord steps are taken from it.  Without one, or
+    when that attempt raises any :class:`SolverError`, the hybrid
+    continuation runs: Stokes start, Picard steps, then Newton; its result
+    does not depend on `start`.  Both run through :func:`_iterate`.
 
     Raises :class:`ConvergenceError` (with the residual trace attached)
-    when the budget is exhausted above tolerance or the Newton phase
-    diverges; the caller decides whether that realization is skipped.
+    when the budget is exhausted above tolerance or the Newton or chord
+    phase diverges; the caller decides whether that realization is skipped.
     """
     settings = settings or SolverSettings()
     space = ops.space
@@ -214,7 +214,8 @@ def solve_steady(ops: Operators, settings: SolverSettings | None = None,
     reference = float(np.linalg.norm(rhs))
     if start is not None:
         try:
-            return _chord(ops, reference, start, settings.newton_steps)
+            return _iterate(ops, reference, start, "warm",
+                            ["chord"] * settings.newton_steps)
         except SolverError:
             pass
     return _iterate(ops, reference, nonlinear_step(ops, lift, stokes, rhs),
@@ -225,7 +226,10 @@ def solve_steady(ops: Operators, settings: SolverSettings | None = None,
 def _iterate(ops: Operators, reference: float, state: FlowState, kind: str,
              steps: list) -> SteadyResult:
     """Corrections from `state` (produced by `kind`), one per entry of
-    `steps`, until the residual meets the target."""
+    `steps`, until the residual meets the target.  A ``chord`` step that
+    factors the Newton Jacobian is traced as ``newton``; a Newton or chord
+    iterate whose residual is not below every earlier one of its phase
+    counts toward :data:`_DIVERGENCE_PATIENCE`."""
     target = _REL_TOL * reference
     plan = saddle_plan(ops.space)
     steps = iter(steps)
@@ -239,61 +243,24 @@ def _iterate(ops: Operators, reference: float, state: FlowState, kind: str,
         if not np.isfinite(res_norm):
             what = "Stokes solve" if kind == "stokes" else f"{kind} step"
             raise ConvergenceError(f"{what} produced non-finite residual", trace)
-        if kind == "newton":
-            growth = growth + 1 if res_norm >= trace[-2]["residual"] else 0
+        phase = kind in ("newton", "chord")
+        if phase:
+            growth = growth + 1 if res_norm >= best else 0
             if growth >= _DIVERGENCE_PATIENCE:
                 raise ConvergenceError(
                     f"Newton phase diverged for {growth} consecutive steps", trace)
+        best = min(best, res_norm) if phase else res_norm
+        contracted = phase and res_norm <= _CHORD_CONTRACTION * trace[-2]["residual"]
         kind = next(steps, None)
         if res_norm <= target or kind is None:
             break
-        if kind == "newton":
-            matrix = plan.fill(newton_operator(ops, state.velocity, picard),
-                               ops.divergence)
-        state = nonlinear_step(ops, state, matrix, res)
-
-    if res_norm > target:
-        raise ConvergenceError(
-            f"residual {res_norm:.3e} above target {target:.3e} "
-            f"after {len(trace) - 1} steps", trace)
-    return SteadyResult(state, res_norm, reference, trace, picard)
-
-
-def _chord(ops: Operators, reference: float, state: FlowState,
-           budget: int) -> SteadyResult:
-    """At most `budget` corrections from the start `state` until the
-    residual meets the target, each with the LU of the Newton Jacobian at
-    the start.  A step that fails to halve the residual has the Jacobian
-    factored again at its iterate, and the corrections go on with that LU.
-
-    The first trace entry is of kind ``warm``; a later one is ``newton``
-    when its step factored the Jacobian and ``chord`` when it reused an
-    LU.  Raises :class:`ConvergenceError` like :func:`_iterate`.
-    """
-    target = _REL_TOL * reference
-    plan = saddle_plan(ops.space)
-    trace, growth, lu, kind = [], 0, None, "warm"
-    while True:
-        picard = picard_operator(ops, state.velocity)
-        matrix = plan.fill(picard, ops.divergence)
-        res = residual(ops, state, matrix)
-        res_norm = float(np.linalg.norm(res))
-        trace.append({"step": len(trace), "kind": kind, "residual": res_norm})
-        if not np.isfinite(res_norm):
-            raise ConvergenceError(f"{kind} step produced non-finite residual", trace)
-        if lu is not None:
-            growth = growth + 1 if res_norm >= trace[-2]["residual"] else 0
-            if growth >= _DIVERGENCE_PATIENCE:
-                raise ConvergenceError(
-                    f"chord phase diverged for {growth} consecutive steps", trace)
-        if res_norm <= target or len(trace) > budget:
-            break
-        if lu is None or res_norm > _CHORD_CONTRACTION * trace[-2]["residual"]:
-            jacobian = newton_operator(ops, state.velocity, picard)
-            lu = factor(plan.square(plan.fill(jacobian, ops.divergence)))
-            kind = "newton"
-        else:
-            kind = "chord"
+        if kind != "chord" or not contracted:
+            lu = None   # free the old factor before the new one is built
+            if kind != "picard":
+                matrix = plan.fill(newton_operator(ops, state.velocity, picard),
+                                   ops.divergence)
+                kind = "newton"
+            lu = factor(plan.square(matrix))
         state = _correct(ops, state, lu, res)
 
     if res_norm > target:

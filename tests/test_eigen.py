@@ -195,6 +195,35 @@ def test_edge_guard_retry_reuses_the_factorization(monkeypatch):
     assert abs(result.eigenvalue - truth) < 1e-9
 
 
+def test_sweep_operator_makes_no_solve_before_arpack(monkeypatch):
+    # the shift-invert operator is built with its dtype, so scipy does not
+    # apply it once to find out; every LU solve is one ARPACK asked for
+    import flowstab.eigen as eigen
+
+    J, M, truth = planted_pencil(90, 0)
+    solves, before_arpack = [], []
+    original_splu, original_eigs = eigen.splu, eigen.eigs
+
+    class CountedLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.lu.solve(rhs)
+
+    def eigs(op, **kwargs):
+        before_arpack.append(len(solves))
+        return original_eigs(op, **kwargs)
+
+    monkeypatch.setattr(eigen, "splu", lambda matrix, **kwargs:
+                        CountedLU(original_splu(matrix, **kwargs)))
+    monkeypatch.setattr(eigen, "eigs", eigs)
+    result = rightmost(EigenProblem(J, M), k=24)
+    assert before_arpack == [0]
+    assert abs(result.eigenvalue.real - truth.real) < 1e-9
+
+
 def planted_problem(n, seed, rightmost_re=None):
     """A planted pencil, whose two dense matrices share one pattern as
     tracking needs, and its rightmost eigenvalue."""

@@ -503,7 +503,8 @@ def test_failed_warm_start_gives_the_cold_record(toy, spoil):
 
 def test_diverging_warm_start_gives_the_cold_record():
     # ten times the nominal velocity: the chord steps drive the residual up
-    # until the budget runs out, and the sample falls back to the cold path
+    # until five iterates in a row stay above the lowest residual, and the
+    # sample falls back to the cold path
     sim = build_simulator(load_config(CONFIGS / "step_desk.yaml"), 0.10,
                           use_cache=False)
     state, slope = sim.nominal.state, sim.nominal.tangent
@@ -514,9 +515,13 @@ def test_diverging_warm_start_gives_the_cold_record():
     ops = build_operators(sim.mesh, sim.space, sim.model.evaluate(xi))
     reference = solve_steady(ops, sim.settings).reference
     with pytest.raises(ConvergenceError) as info:
-        steady._chord(ops, reference, spoiled, sim.settings.newton_steps)
+        steady._iterate(ops, reference, spoiled, "warm",
+                        ["chord"] * sim.settings.newton_steps)
     norms = [entry["residual"] for entry in info.value.trace]
     assert norms[-1] > 1e3 * norms[0]
+    # it ends on divergence, long before the budget would run out
+    assert "diverged" in str(info.value)
+    assert len(norms) <= 1 + 2 * steady._DIVERGENCE_PATIENCE
     # no nominal eigenpair on either side: both sweep
     sim.nominal = Nominal(spoiled, None, FlowState(np.zeros_like(slope.velocity),
                                                    np.zeros_like(slope.pressure)))

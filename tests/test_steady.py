@@ -196,6 +196,53 @@ def test_chord_refactors_after_a_step_that_fails_to_halve(monkeypatch):
     assert len(factored) == kinds.count("newton")
 
 
+def test_warm_start_at_the_solution_takes_no_step(obstacle_result, monkeypatch):
+    # a start that already meets the target is the result: one warm entry
+    # and no factorization
+    import flowstab.steady as steady
+
+    mesh, space, cold = obstacle_result
+    ops = build_operators(mesh, space, constant_field(mesh, 5.36193e-3))
+    factored, original = [], steady.splu
+    monkeypatch.setattr(steady, "splu", lambda matrix, **kwargs:
+                        factored.append(1) or original(matrix, **kwargs))
+    result = solve_steady(ops, start=cold.state)
+    assert result.trace == [{"step": 0, "kind": "warm",
+                             "residual": cold.residual}]
+    assert factored == []
+    np.testing.assert_array_equal(result.state.velocity, cold.state.velocity)
+
+
+def test_each_factor_is_freed_before_the_next_is_built(monkeypatch):
+    # an LU holds the Jacobian's fill, so the solve keeps at most one
+    import flowstab.steady as steady
+
+    mesh = obstacle_mesh(refine=1)
+    space = build_space(mesh, "q1")
+    ops = build_operators(mesh, space, constant_field(mesh, 5.36193e-3))
+    alive, at_factor, original = [0], [], steady.splu
+
+    class TrackedLU:
+        def __init__(self, lu):
+            self.lu = lu
+            alive[0] += 1
+
+        def __del__(self):
+            alive[0] -= 1
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs)
+
+    def lu(matrix, **kwargs):
+        at_factor.append(alive[0])
+        return TrackedLU(original(matrix, **kwargs))
+
+    monkeypatch.setattr(steady, "splu", lu)
+    result = solve_steady(ops)
+    assert len(at_factor) == len(result.trace) > 2
+    assert at_factor == [0] * len(at_factor)
+
+
 def reference_saddle(space, momentum, div, scale=1.0):
     """``[[A_ii, s B_i^T], [s B_i, 0]]`` by scipy slicing and ``bmat``."""
     iu = space.interior
