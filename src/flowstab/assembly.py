@@ -126,13 +126,13 @@ def assemble_newton_derivative(mesh: Mesh, wind: np.ndarray) -> np.ndarray:
     return (grad * qd.qw[:, None, None] @ qd.phi_phi).reshape(-1, 2, 2, 9, 9)
 
 
-def assemble_divergence(mesh: Mesh, space: MixedSpace) -> np.ndarray:
+def assemble_divergence(space: MixedSpace) -> np.ndarray:
     """Element blocks of ``B[c, d] = -integral( psi_c div(phi_d) )``,
     (n_cells, 2, n_local_p, 9): velocity component, pressure function,
     velocity node."""
-    qd = quad_data(mesh)
+    qd = quad_data(space.mesh)
     if space.pressure == "q1":
-        psi = np.broadcast_to(qd.psi_q1[None, :, :], (mesh.n_cells, 4, 9))
+        psi = np.broadcast_to(qd.psi_q1, (space.mesh.n_cells, 4, 9))
     else:
         ones = np.ones_like(qd.qx)
         psi = np.stack([ones,

@@ -220,7 +220,7 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     try:
         # one sample, so nothing to warm-start it from: the cold chain
-        steady, eig = stability(sim.mesh, sim.space, sim.model.evaluate(xi),
+        steady, eig = stability(sim.space, sim.model.evaluate(xi),
                                 sim.settings, sim.k, sim.seed)
     except ConvergenceError as exc:
         trace_path = config.outdir / "solve_trace.json"
@@ -263,7 +263,7 @@ def cmd_spectrum(args) -> int:
     space = build_space_for(config, mesh)
     start = time.perf_counter()
     # the deterministic reference computation: constant mean viscosity
-    eig = stability(mesh, space, np.full_like(quad_data(mesh).qw, config.nu1),
+    eig = stability(space, np.full_like(quad_data(mesh).qw, config.nu1),
                     config.solver, config.k, config.eigen_seed)[1]
     print(f"[spectrum] total: {time.perf_counter() - start:.2f} s, "
           f"{eig.candidates.size} Ritz values retained")
@@ -341,9 +341,9 @@ def cmd_cache(args) -> int:
         print(f"no cache at {path}")
         return 0
     records = read_cache(path)[0]
-    fingerprints = Counter(record["fingerprint"] for record in records)
-    reasons = failure_reasons(record.get("note", "") for record in records
-                              if record["failed"])
+    fingerprints = Counter(fingerprint for _, fingerprint, _ in records)
+    reasons = failure_reasons(record.note for _, _, record in records
+                              if record.failed)
     print(f"{path}: {len(records)} records, {sum(reasons.values())} failed, "
           f"{len(fingerprints)} distinct configurations")
     for fp, count in sorted(fingerprints.items()):

@@ -285,7 +285,7 @@ def build_simulator(config: ExperimentConfig, cov: float,
     mesh = build_mesh(config)
     space = build_space_for(config, mesh)
     model = build_model(config, build_kl(config, mesh), cov)
-    sim = Simulator(mesh, space, model, settings=config.solver,
+    sim = Simulator(space, model, settings=config.solver,
                     k=config.k, seed=config.eigen_seed,
                     label=f"{config.benchmark}-cov{cov:g}")
     if use_cache and config.cache is not None:

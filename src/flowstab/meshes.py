@@ -61,7 +61,7 @@ class BoundaryTag:
 
     kind: str                       # "dirichlet" | "neumann"
     vnodes: np.ndarray              # velocity node ids on this piece
-    profile: Optional[Callable]     # (x, y) -> (ux, uy); None means zero
+    profile: Optional[Callable]     # arrays (x, y) -> (ux, uy); None means zero
 
 
 @dataclass
@@ -106,7 +106,9 @@ def _build_mesh(xs, ys, cell_mask, tag_rules) -> Mesh:
     """Assemble the connectivity of a masked tensor grid.
 
     `tag_rules` is an ordered list of ``(name, kind, predicate, profile)``;
-    predicates take boundary-edge midpoints ``(x, y)``.
+    a predicate maps the arrays ``(x, y)`` of boundary-edge midpoints to a
+    boolean mask (or one bool for all), a profile maps node coordinate
+    arrays to the velocity components ``(ux, uy)``.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -127,77 +129,57 @@ def _build_mesh(xs, ys, cell_mask, tag_rules) -> Mesh:
     fy[0::2] = ys
     fy[1::2] = 0.5 * (ys[:-1] + ys[1:])
 
-    active = np.argwhere(cell_mask)            # row-major (ix, iy)
-    cells = active.astype(np.int64)
+    cells = np.argwhere(cell_mask).astype(np.int64)    # row-major (ix, iy)
 
-    vused = np.zeros((2 * nx + 1, 2 * ny + 1), dtype=bool)
-    pused = np.zeros((nx + 1, ny + 1), dtype=bool)
-    for ix, iy in cells:
-        vused[2 * ix:2 * ix + 3, 2 * iy:2 * iy + 3] = True
-        pused[ix:ix + 2, iy:iy + 2] = True
+    def number(step, gx, gy):
+        """Ids of the points ``(step*ix + i, step*iy + j)`` of the grid
+        ``gx x gy``, local ``a = (step+1)*i + j`` of active cell (ix, iy),
+        numbered row-major over the points used; and their coordinates."""
+        i, j = np.divmod(np.arange((step + 1) ** 2), step + 1)
+        gi, gj = step * cells[:, :1] + i, step * cells[:, 1:] + j
+        used = np.zeros((gx.size, gy.size), dtype=bool)
+        used[gi, gj] = True
+        ids = np.cumsum(used, dtype=np.int64).reshape(used.shape) - 1
+        ui, uj = np.nonzero(used)
+        return ids[gi, gj], np.column_stack([gx[ui], gy[uj]])
 
-    vid = -np.ones(vused.shape, dtype=np.int64)
-    vid[vused] = np.arange(vused.sum())
-    pid = -np.ones(pused.shape, dtype=np.int64)
-    pid[pused] = np.arange(pused.sum())
+    cell_vnodes, vnode_xy = number(2, fx, fy)
+    cell_pnodes, pnode_xy = number(1, xs, ys)
 
-    vii, vjj = np.nonzero(vused)
-    vnode_xy = np.column_stack([fx[vii], fy[vjj]])
-    pii, pjj = np.nonzero(pused)
-    pnode_xy = np.column_stack([xs[pii], ys[pjj]])
-
-    cell_vnodes = np.empty((len(cells), 9), dtype=np.int64)
-    cell_pnodes = np.empty((len(cells), 4), dtype=np.int64)
-    for e, (ix, iy) in enumerate(cells):
-        for i in range(3):
-            for j in range(3):
-                cell_vnodes[e, 3 * i + j] = vid[2 * ix + i, 2 * iy + j]
-        for i in range(2):
-            for j in range(2):
-                cell_pnodes[e, 2 * i + j] = pid[ix + i, iy + j]
-
-    # boundary edges: cell sides not shared with another active cell
-    padded = np.zeros((nx + 2, ny + 2), dtype=bool)
-    padded[1:-1, 1:-1] = cell_mask
-    edge_nodes: dict[str, set] = {name: set() for name, _, _, _ in tag_rules}
-    edge_kind = {name: kind for name, kind, _, _ in tag_rules}
-    profile = {name: prof for name, _, _, prof in tag_rules}
-    for ix, iy in cells:
-        sides = [
-            (padded[ix, iy + 1], [(2 * ix, 2 * iy + j) for j in range(3)]),       # left
-            (padded[ix + 2, iy + 1], [(2 * ix + 2, 2 * iy + j) for j in range(3)]),  # right
-            (padded[ix + 1, iy], [(2 * ix + i, 2 * iy) for i in range(3)]),       # bottom
-            (padded[ix + 1, iy + 2], [(2 * ix + i, 2 * iy + 2) for i in range(3)]),  # top
-        ]
-        for neighbor_active, fine in sides:
-            if neighbor_active:
-                continue
-            mx = fx[fine[1][0]]
-            my = fy[fine[1][1]]
-            for name, _, pred, _ in tag_rules:
-                if pred(mx, my):
-                    edge_nodes[name].update(vid[i, j] for i, j in fine)
-                    break
-            else:
-                raise GeometryError(f"boundary edge at ({mx}, {my}) matched no tag")
+    # boundary edges: the left, right, bottom and top sides of each cell
+    # whose neighbour is not active, as the local nodes along the side
+    padded = np.pad(cell_mask, 1)
+    open_side = ~padded[cells[:, :1] + [0, 2, 1, 1], cells[:, 1:] + [1, 1, 0, 2]]
+    edges = cell_vnodes[:, [[0, 1, 2], [6, 7, 8], [0, 3, 6], [2, 5, 8]]][open_side]
+    mx, my = vnode_xy[edges[:, 1]].T
+    on_tag = {}
+    untagged = np.ones(len(edges), dtype=bool)
+    for name, _, pred, _ in tag_rules:
+        hit = untagged & pred(mx, my)
+        on_tag[name] = np.bincount(edges[hit].ravel(), minlength=len(vnode_xy)) > 0
+        untagged &= ~hit
+    if untagged.any():
+        first = np.argmax(untagged)
+        raise GeometryError(f"boundary edge at ({mx[first]}, {my[first]}) "
+                            f"matched no tag")
 
     # A node on the junction of two tags belongs to the first tag listed,
     # except that Dirichlet pieces always claim nodes shared with Neumann
     # pieces (no-slip corners on the outflow edge stay constrained).
     claim_order = ([n for n, k, _, _ in tag_rules if k == "dirichlet"]
                    + [n for n, k, _, _ in tag_rules if k != "dirichlet"])
-    seen: set = set()
+    seen = np.zeros(len(vnode_xy), dtype=bool)
     claimed = {}
     for name in claim_order:
-        claimed[name] = np.array(sorted(edge_nodes[name] - seen), dtype=np.int64)
-        seen |= edge_nodes[name]
-    boundary = {name: BoundaryTag(edge_kind[name], claimed[name], profile[name])
-                for name, _, _, _ in tag_rules}
+        claimed[name] = np.nonzero(on_tag[name] & ~seen)[0]
+        seen |= on_tag[name]
+    boundary = {name: BoundaryTag(kind, claimed[name], profile)
+                for name, kind, _, profile in tag_rules}
     return Mesh(xs, ys, cell_mask, cells, vnode_xy, cell_vnodes,
                 pnode_xy, cell_pnodes, boundary)
 
 
-def _near(value: float, target: float) -> bool:
+def _near(value: np.ndarray, target: float) -> np.ndarray:
     return abs(value - target) < _TOL
 
 
@@ -263,8 +245,8 @@ def obstacle_mesh(refine: int = 1, length: float = 8.0,
     mask = np.ones((nx, ny), dtype=bool)
     mask[7 * k:9 * k, 3 * k:5 * k] = False
 
-    inside = lambda x, y: (_OBS_X[0] - _TOL < x < _OBS_X[1] + _TOL
-                           and _OBS_Y[0] - _TOL < y < _OBS_Y[1] + _TOL)
+    inside = lambda x, y: ((_OBS_X[0] - _TOL < x) & (x < _OBS_X[1] + _TOL)
+                           & (_OBS_Y[0] - _TOL < y) & (y < _OBS_Y[1] + _TOL))
     rules = [
         ("inflow", "dirichlet", lambda x, y: _near(x, 0.0),
          lambda x, y: (1.0 - y**2, 0.0)),
@@ -349,19 +331,18 @@ def build_space(mesh: Mesh, pressure: str = "q1") -> MixedSpace:
         cell_pdofs = (3 * np.arange(mesh.n_cells)[:, None]
                       + np.arange(3)[None, :]).astype(np.int64)
 
-    fixed: dict[int, tuple[float, float]] = {}
+    fixed = np.zeros(nv, dtype=bool)
+    values = np.zeros((2, nv))
     for tag in mesh.boundary.values():
         if tag.kind != "dirichlet":
             continue
-        for node in tag.vnodes:
-            x, y = mesh.vnode_xy[node]
-            fixed[node] = tag.profile(x, y) if tag.profile is not None else (0.0, 0.0)
-    nodes = np.array(sorted(fixed), dtype=np.int64)
+        fixed[tag.vnodes] = True
+        if tag.profile is not None:
+            ux, uy = tag.profile(*mesh.vnode_xy[tag.vnodes].T)
+            values[0, tag.vnodes], values[1, tag.vnodes] = ux, uy
+    nodes = np.nonzero(fixed)[0]
     dirichlet = np.concatenate([nodes, nv + nodes])
-    values = np.concatenate([
-        np.array([fixed[n][0] for n in nodes]),
-        np.array([fixed[n][1] for n in nodes]),
-    ])
+    values = values[:, nodes].ravel()
     mask = np.ones(n_u, dtype=bool)
     mask[dirichlet] = False
     interior = np.nonzero(mask)[0]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, EigenError, PositivityError, SolverError
 from .eigen import EigenResult, build_problem, rightmost
-from .meshes import Mesh, MixedSpace
+from .meshes import MixedSpace
 from .steady import (FlowState, SolverSettings, SteadyResult, build_operators,
                      factor, solve_steady, tangent)
 from .viscosity import ViscosityModel
@@ -151,8 +151,18 @@ class SampleRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SampleRecord":
-        return cls(tuple(data["xi"]), float(data["lam_re"]), float(data["lam_im"]),
-                   bool(data["failed"]), data.get("note", ""), data.get("digest", ""))
+        """The record whose :meth:`to_dict` is `data`, as JSON decoded it;
+        raises ``KeyError`` or ``TypeError`` when a field is missing or of
+        the wrong type (numbers are ints or floats, not bools), and
+        ``OverflowError`` when an int has no float."""
+        xi, lam = data["xi"], (data["lam_re"], data["lam_im"])
+        note, digest = data.get("note", ""), data.get("digest", "")
+        if not (type(xi) is list and type(data["failed"]) is bool
+                and all(type(v) in (int, float) for v in [*xi, *lam])
+                and type(note) is type(digest) is str):
+            raise TypeError("a record field is missing or of the wrong type")
+        return cls(tuple(map(float, xi)), *map(float, lam), data["failed"],
+                   note, digest)
 
 
 class EvalCache:
@@ -175,10 +185,9 @@ class EvalCache:
             records, complete = read_cache(self.path)
             if complete < self.path.stat().st_size:
                 self._cut = complete
-            for data in records:
-                if data["fingerprint"] != fingerprint:
-                    continue
-                self._store.setdefault(data["key"], SampleRecord.from_dict(data))
+            for key, made_under, record in records:
+                if made_under == fingerprint:
+                    self._store.setdefault(key, record)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -200,18 +209,9 @@ class EvalCache:
             fh.write((json.dumps(data, sort_keys=True) + "\n").encode())
 
 
-def _is_record(data) -> bool:
-    """Whether a decoded cache line holds a string key and fingerprint and
-    the fields of a :class:`SampleRecord`."""
-    try:
-        SampleRecord.from_dict(data)
-    except (KeyError, TypeError, ValueError):
-        return False
-    return isinstance(data["key"], str) and isinstance(data["fingerprint"], str)
-
-
 def read_cache(path) -> tuple[list, int]:
-    """Records of a cache file, and the byte length of its whole lines.
+    """The ``(key, fingerprint, SampleRecord)`` of each line of a cache
+    file, and the byte length of its whole lines.
 
     A run killed mid-append can leave a torn last line; an undecodable last
     line is skipped with a warning on stderr and does not count as whole.
@@ -234,9 +234,15 @@ def read_cache(path) -> tuple[list, int]:
                 print(f"warning: {path}, line {number}: skipping a torn "
                       f"last line", file=sys.stderr)
                 break
-            if not _is_record(data):
-                raise ConfigError(f"{path}, line {number}: not a cache record")
-            records.append(data)
+            try:
+                key, fingerprint = data["key"], data["fingerprint"]
+                record = SampleRecord.from_dict(data)
+                if not (isinstance(key, str) and isinstance(fingerprint, str)):
+                    raise TypeError("key and fingerprint must be strings")
+            except (KeyError, TypeError, OverflowError):
+                raise ConfigError(
+                    f"{path}, line {number}: not a cache record") from None
+            records.append((key, fingerprint, record))
         if line.endswith(b"\n"):
             complete += len(line)
     return records, complete
@@ -257,7 +263,7 @@ def _sample_key(xi: np.ndarray, fingerprint: str) -> str:
     return hashlib.sha256(payload + fingerprint.encode()).hexdigest()
 
 
-def stability(mesh: Mesh, space: MixedSpace, viscosity: np.ndarray,
+def stability(space: MixedSpace, viscosity: np.ndarray,
               settings: SolverSettings, k: int, seed: int,
               start: FlowState | None = None,
               near: EigenResult | None = None) -> tuple[SteadyResult, EigenResult]:
@@ -270,7 +276,7 @@ def stability(mesh: Mesh, space: MixedSpace, viscosity: np.ndarray,
 
     Raises :class:`SolverError` or :class:`EigenError` on failure.
     """
-    ops = build_operators(mesh, space, viscosity)
+    ops = build_operators(space, viscosity)
     steady = solve_steady(ops, settings, start)
     return steady, rightmost(build_problem(ops, steady), k=k, seed=seed,
                              near=near)
@@ -301,7 +307,6 @@ class Simulator:
     cached results are only reused under the exact same setup.
     """
 
-    mesh: Mesh
     space: MixedSpace
     model: ViscosityModel
     settings: SolverSettings = field(default_factory=SolverSettings)
@@ -311,13 +316,14 @@ class Simulator:
     cache: Optional[EvalCache] = field(default=None, init=False)
 
     def describe(self) -> dict:
-        xs, ys = self.mesh.xs, self.mesh.ys
+        mesh = self.space.mesh
+        xs, ys = mesh.xs, mesh.ys
         return {
             "algorithm": ALGORITHM,
             "label": self.label,
             "mesh": {
-                "n_cells": int(self.mesh.n_cells),
-                "n_vnodes": int(self.mesh.n_vnodes),
+                "n_cells": int(mesh.n_cells),
+                "n_vnodes": int(mesh.n_vnodes),
                 "bbox": [float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])],
                 "pressure": self.space.pressure,
                 "n_u": int(self.space.n_u),
@@ -325,7 +331,7 @@ class Simulator:
             },
             "viscosity": self.model.describe(),
             # the counts above do not tell graded meshes or fields apart
-            "sha256": _arrays_digest(xs, ys, self.mesh.cell_mask,
+            "sha256": _arrays_digest(xs, ys, mesh.cell_mask,
                                      self.model.coeffs),
             "solver": {
                 "picard_steps": self.settings.picard_steps,
@@ -353,7 +359,7 @@ class Simulator:
         then runs cold."""
         xi = np.zeros(self.model.dim)
         try:
-            ops = build_operators(self.mesh, self.space, self.model.evaluate(xi))
+            ops = build_operators(self.space, self.model.evaluate(xi))
             steady = solve_steady(ops, self.settings)
             problem = build_problem(ops, steady)
             lu = factor(problem.lhs)
@@ -371,7 +377,7 @@ class Simulator:
         start = near = None
         if self.nominal is not None:
             start, near = self.nominal.start(xi), self.nominal.eigen
-        return stability(self.mesh, self.space, viscosity, self.settings,
+        return stability(self.space, viscosity, self.settings,
                          self.k, self.seed, start, near)
 
     def compute(self, xi) -> SampleRecord:

@@ -38,7 +38,7 @@ from .assembly import (assemble_convection, assemble_diffusion,
                        assemble_divergence, assemble_newton_derivative,
                        assemble_velocity_mass, saddle_plan)
 from .errors import ConvergenceError, RankDeficiencyError, SolverError
-from .meshes import Mesh, MixedSpace
+from .meshes import MixedSpace
 
 
 #: stop once the residual falls below this fraction of the Stokes reference;
@@ -83,7 +83,6 @@ class FlowState:
 class Operators:
     """State-independent element matrices for one viscosity realization."""
 
-    mesh: Mesh
     space: MixedSpace
     diffusion: np.ndarray
     divergence: np.ndarray
@@ -100,14 +99,13 @@ class SteadyResult:
     picard: np.ndarray = field(repr=False)
 
 
-def build_operators(mesh: Mesh, space: MixedSpace,
-                    viscosity: np.ndarray) -> Operators:
+def build_operators(space: MixedSpace, viscosity: np.ndarray) -> Operators:
     """Assemble everything that does not depend on the flow state, for a
     viscosity sampled at the quadrature points, (n_cells, 9): diffusion
     and mass (n_cells, 9, 9) and divergence (n_cells, 2, n_local_p, 9)."""
-    return Operators(mesh, space, assemble_diffusion(mesh, viscosity),
-                     assemble_divergence(mesh, space),
-                     assemble_velocity_mass(mesh))
+    return Operators(space, assemble_diffusion(space.mesh, viscosity),
+                     assemble_divergence(space),
+                     assemble_velocity_mass(space.mesh))
 
 
 def factor(matrix: sparse.csc_matrix):
@@ -122,7 +120,7 @@ def factor(matrix: sparse.csc_matrix):
 def picard_operator(ops: Operators, velocity: np.ndarray) -> np.ndarray:
     """Element matrices of ``diffusion + convection(velocity)``: the
     residual's momentum, the Picard operator and the Newton base."""
-    return ops.diffusion + assemble_convection(ops.mesh, velocity)
+    return ops.diffusion + assemble_convection(ops.space.mesh, velocity)
 
 
 def newton_operator(ops: Operators, velocity: np.ndarray,
@@ -130,7 +128,7 @@ def newton_operator(ops: Operators, velocity: np.ndarray,
     """Element matrices of the Newton Jacobian, (n_cells, 2, 2, 9, 9): the
     Picard operator at `velocity` on both components plus the
     velocity-gradient coupling."""
-    jacobian = assemble_newton_derivative(ops.mesh, velocity)
+    jacobian = assemble_newton_derivative(ops.space.mesh, velocity)
     jacobian[:, [0, 1], [0, 1]] += picard[:, None]
     return jacobian
 
@@ -182,7 +180,7 @@ def tangent(ops: Operators, result: SteadyResult, lu,
     space, plan, state = ops.space, saddle_plan(ops.space), result.state
     zero = np.zeros_like(ops.divergence)
     rhs = np.column_stack([
-        residual(ops, state, plan.fill(assemble_diffusion(ops.mesh, nu), zero))
+        residual(ops, state, plan.fill(assemble_diffusion(space.mesh, nu), zero))
         for nu in fields])
     delta = lu.solve(rhs).T
     iu = space.interior

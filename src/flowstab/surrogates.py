@@ -527,23 +527,36 @@ def load_surrogate(path, m: int, doc=None):
         raise ConfigError(f"malformed {kind} surrogate in {path}: {exc!r}")
 
 
+def _numbers(name: str, value) -> np.ndarray:
+    """`value`, a JSON number or nested list of numbers, as a float array."""
+    array = np.array(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} holds non-numbers")
+    return array.astype(float)
+
+
 def _rebuild(cls, doc: dict, m: int):
     """The fields of `cls` as `save_surrogate` wrote them; lists load as
-    arrays, and params that are not fields (the ``imag_coeffs`` of older
-    collocation files) are ignored.  Raises ``ValueError`` when an array
-    does not have the shape :data:`_SHAPES` gives it, with `m` germ
-    components, or a chaos basis is not in `m` variables."""
+    float arrays, and params that are not fields (the ``imag_coeffs`` of
+    older collocation files) are ignored.  Raises ``ValueError`` when an
+    array or a float field holds anything but numbers, an array does not
+    have the shape :data:`_SHAPES` gives it, with `m` germ components, or
+    a chaos basis is not in `m` variables."""
     params = doc["params"]
     values = {}
     for f in fields(cls):
         if f.type == "Scaler":
-            values[f.name] = Scaler(*doc["scaler"])
+            values[f.name] = Scaler(*_numbers("scaler", doc["scaler"]).tolist())
         elif f.type == "GpcBasis":
             values[f.name] = GpcBasis.total_degree(
                 params["family"], params["dim"], params["degree"])
         else:
             value = params[f.name]
-            values[f.name] = np.array(value) if isinstance(value, list) else value
+            if isinstance(value, list):
+                value = _numbers(f.name, value)
+            elif f.type == "float":
+                value = float(_numbers(f.name, value))
+            values[f.name] = value
     dims = {"hidden": _HIDDEN, "m": m}
     if "basis" in values:
         if values["basis"].dim != m:

@@ -84,7 +84,7 @@ def channel_flow_pencil(nx, ny, pressure, nu, delta=-1e-2):
 
     mesh = channel_mesh(nx=nx, ny=ny, length=float(nx) / 2.0)
     space = build_space(mesh, pressure)
-    ops = build_operators(mesh, space, constant_field(mesh, nu))
+    ops = build_operators(space, constant_field(mesh, nu))
     return build_problem(ops, solve_steady(ops), delta)
 
 
@@ -137,7 +137,7 @@ def _reference_run(name):
     mesh = build_mesh(config)
     space = build_space_for(config, mesh)
     start = time.perf_counter()
-    eig = stability(mesh, space, constant_field(mesh, config.nu1),
+    eig = stability(space, constant_field(mesh, config.nu1),
                     config.solver, config.k, config.eigen_seed)[1]
     return SimpleNamespace(result=eig, seconds=time.perf_counter() - start)
 

@@ -200,7 +200,7 @@ def test_divergence_against_loop(oracle, pressure):
     mesh = channel_mesh(nx=1, ny=1, length=0.7)
     space = build_space(mesh, pressure)
     B = divergence_matrix(mesh, space,
-                          assemble_divergence(mesh, space)).toarray()
+                          assemble_divergence(space)).toarray()
     if pressure == "q1":
         lin = lambda t, n: [0.5 * (1 - t), 0.5 * (1 + t)][n]
         psi = [lambda x, y, c=c: lin(2 * x / 0.7 - 1, c // 2) * lin(y, c % 2)
@@ -220,7 +220,7 @@ def test_divergence_against_loop(oracle, pressure):
 def test_divergence_annihilates_divergence_free_interpolants(pressure):
     mesh = obstacle_mesh(refine=1)
     space = build_space(mesh, pressure)
-    B = divergence_matrix(mesh, space, assemble_divergence(mesh, space))
+    B = divergence_matrix(mesh, space, assemble_divergence(space))
     for fn in [lambda x, y: (1.0 - y**2, np.zeros_like(x)),
                lambda x, y: (x, -y)]:
         u = interpolate(mesh, fn)
@@ -230,7 +230,7 @@ def test_divergence_annihilates_divergence_free_interpolants(pressure):
 def test_divergence_of_expanding_field_is_mean_pressure():
     # div (x, 0) = 1, so B u must equal minus the pressure-space averages
     mesh, space = single_cell()
-    B = divergence_matrix(mesh, space, assemble_divergence(mesh, space))
+    B = divergence_matrix(mesh, space, assemble_divergence(space))
     u = interpolate(mesh, lambda x, y: (x, np.zeros_like(y)))
     # integral of each bilinear pressure function over the cell: area/4
     np.testing.assert_allclose(B @ u, -0.35 * np.ones(4), atol=1e-13)

@@ -109,7 +109,7 @@ def test_solve_runs_the_cold_chain_once(workdir, monkeypatch):
     monkeypatch.setattr(simulate, "solve_steady", solve_steady)
     monkeypatch.setattr(simulate, "rightmost", rightmost)
     sim = build_simulator(load_config(path), 0.05, use_cache=False)
-    lam = simulate.stability(sim.mesh, sim.space,
+    lam = simulate.stability(sim.space,
                              sim.model.evaluate(np.array([0.5, -0.5])),
                              sim.settings, sim.k, sim.seed)[1].eigenvalue
     assert payload["eigenvalue"] == {"re": lam.real, "im": lam.imag}
@@ -350,7 +350,7 @@ def test_nonconvergence_exit_3_with_trace(workdir, capsys, monkeypatch):
     monkeypatch.setattr(simulate, "solve_steady", original)
     sim = build_simulator(load_config(path), 0.01, use_cache=False)
     with pytest.raises(ConvergenceError) as failure:
-        simulate.stability(sim.mesh, sim.space,
+        simulate.stability(sim.space,
                            sim.model.evaluate(np.zeros(2)), sim.settings,
                            sim.k, sim.seed)
     assert trace["error"] == str(failure.value)
@@ -504,6 +504,31 @@ def test_surrogate_of_the_wrong_shape_is_config_error(workdir, capsys):
     assert "coeffs has shape (3,)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,model,field,value", [
+    ("scstr", "sc", "coeffs", "a"),
+    ("gpstr", "gp", "sigma_l", "0.5"),
+    ("gpnull", "gp", "scaler", None),
+])
+def test_surrogate_of_non_numbers_is_config_error(workdir, capsys, name, model,
+                                                  field, value):
+    # current provenance, right shapes, but values that are not numbers
+    path = write_config(workdir / f"{name}.yaml", surrogates={"models": [model]},
+                        paths={"outdir": f"out_{name}", "cache": None})
+    assert main(["train", "--config", str(path)]) == 0
+    target = surrogate_path(load_config(path), model, 0.05)
+    doc = json.loads(target.read_text())
+    if field == "scaler":
+        doc["scaler"][0] = value
+    elif isinstance(doc["params"][field], list):
+        doc["params"][field] = [value] * len(doc["params"][field])
+    else:
+        doc["params"][field] = value
+    target.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["assess", "--config", str(path)]) == 2
+    assert f"{field} holds non-numbers" in capsys.readouterr().err
+
+
 def test_surrogate_of_another_germ_dimension_is_config_error(workdir, capsys):
     # inputs cut to one column still agree with alpha, but not with m = 2
     path = write_config(workdir / "gpdim.yaml", surrogates={"models": ["gp"]},
@@ -543,7 +568,9 @@ def cache_record(key, failed=False, note=""):
             "failed": failed, "note": note}
 
 
-@pytest.mark.parametrize("line", ["123", '{"a": 1}'])
+@pytest.mark.parametrize("line", [
+    "123", '{"a": 1}',
+    '{"xi": [0.0, 0.0], "lam_re": 0.0, "lam_im": 0.0, "failed": false}'])
 def test_cache_inspect_rejects_non_record_line(workdir, capsys, line):
     path = write_config(workdir / "nonrecord.yaml",
                         paths={"outdir": "out_nonrecord", "cache": "c.jsonl"})

@@ -141,7 +141,7 @@ def test_zero_delta_rejected():
     from flowstab.steady import build_operators, solve_steady
     mesh = channel_mesh(nx=3, ny=3, length=1.5)
     space = build_space(mesh, "q1")
-    ops = build_operators(mesh, space, constant_field(mesh, 0.05))
+    ops = build_operators(space, constant_field(mesh, 0.05))
     steady = solve_steady(ops)
     with pytest.raises(EigenError):
         build_problem(ops, steady, delta=0.0)
@@ -164,7 +164,7 @@ def test_factors_the_assembled_jacobian(monkeypatch):
 
     mesh = obstacle_mesh(refine=1)
     space = build_space(mesh, "q1")
-    ops = build_operators(mesh, space, constant_field(mesh, 5.36193e-3))
+    ops = build_operators(space, constant_field(mesh, 5.36193e-3))
     problem = build_problem(ops, solve_steady(ops))
     assert np.count_nonzero(problem.lhs.data) < problem.lhs.nnz
     factored = []

@@ -1,8 +1,12 @@
 """Mesh construction: counts, tags, grading, and bookkeeping invariants."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from flowstab.config import build_mesh, build_space_for, load_config
 from flowstab.errors import GeometryError
 from flowstab.meshes import (build_space, channel_mesh, geometric_breaks,
                              obstacle_mesh, step_mesh)
@@ -136,3 +140,43 @@ def test_misaligned_requests_rejected():
         geometric_breaks(0.0, 1.0, 4, ratio=0.5, refine="end")
     with pytest.raises(GeometryError):
         build_space(channel_mesh(2, 2), "p2")
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+#: discretization_digest of each shipped config's space.  The simulator
+#: fingerprint hashes the breakpoints and cell mask but not the numbering
+#: of nodes and DOFs, so cache records made under one numbering would be
+#: reused under another: a change to the numbering must change these and
+#: the fingerprint together
+NUMBERING_DIGESTS = {
+    "obstacle_desk": "915cec4b7c7eda76b6316836fd6b4e494689ad044d35f93afaf3d3d30c2366ed",
+    "obstacle_full": "c4b6ae6a63eee4fbca0c3ca85ad82e9a6063693bd31f2a33b4ba48b03c579b8f",
+    "step_desk": "9e0fe6cf61e3a3460daad8d5a1de4aa9fc00600f81f8db31fd7409a887fd217f",
+    "step_full": "ebf5de8d4b05859f2b68280b73ab6194bb2d0a94b07486b33cda74bd543842e7",
+}
+
+
+def discretization_digest(space):
+    """sha256 over a space's connectivity, boundary tags and Dirichlet data."""
+    mesh = space.mesh
+    digest = hashlib.sha256()
+    arrays = [mesh.cells, mesh.vnode_xy, mesh.cell_vnodes, mesh.pnode_xy,
+              mesh.cell_pnodes]
+    for name, tag in mesh.boundary.items():
+        digest.update(f"{name}:{tag.kind}".encode())
+        arrays.append(tag.vnodes)
+    arrays += [space.dirichlet, space.dirichlet_values, space.interior,
+               space.cell_pdofs]
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(NUMBERING_DIGESTS))
+def test_shipped_discretizations_keep_their_numbering(name):
+    config = load_config(CONFIGS / f"{name}.yaml")
+    space = build_space_for(config, build_mesh(config))
+    assert discretization_digest(space) == NUMBERING_DIGESTS[name]

@@ -46,7 +46,7 @@ def make_sim(toy, kind="affine", cov=0.1, **kwargs):
         model = build_affine(NU1, cov, kl, 2)
     else:
         model = build_lognormal(NU1, cov, kl, 2, 3)
-    return Simulator(mesh, space, model, label="toy-channel", **kwargs)
+    return Simulator(space, model, label="toy-channel", **kwargs)
 
 
 def run_one(sim, xi):
@@ -90,7 +90,7 @@ def test_run_at_zero_matches_deterministic(toy):
     record = run_one(sim, [0.0, 0.0])
     assert not record.failed
 
-    ops = build_operators(mesh, space, constant_field(mesh, NU1))
+    ops = build_operators(space, constant_field(mesh, NU1))
     steady = solve_steady(ops)
     eig = rightmost(build_problem(ops, steady))
     assert record.lam_re == pytest.approx(eig.eigenvalue.real, rel=1e-12, abs=1e-14)
@@ -178,8 +178,8 @@ def test_fingerprint_identifies_the_mesh():
     uniform = obstacle_mesh(refine=1, stretch=1.0)
     graded = obstacle_mesh(refine=1, stretch=5.0)
     model = build_affine(NU1, 0.1, kl_decompose(uniform, 2, 1.0, 2.0, 0.5), 2)
-    a = Simulator(uniform, build_space(uniform, "q1"), model)
-    b = Simulator(graded, build_space(graded, "q1"), model)
+    a = Simulator(build_space(uniform, "q1"), model)
+    b = Simulator(build_space(graded, "q1"), model)
     assert a.fingerprint != b.fingerprint
 
 
@@ -338,7 +338,21 @@ def test_eval_cache_rejects_corrupt_inner_line(tmp_path):
     '{"key": "k", "fingerprint": "fp", "xi": [0.0], "lam_re": "x", '
     '"lam_im": 0.0, "failed": false}',
     '{"key": 1, "fingerprint": "fp", "xi": [0.0], "lam_re": 0.0, '
-    '"lam_im": 0.0, "failed": false}'])
+    '"lam_im": 0.0, "failed": false}',
+    '{"xi": [0.0, 0.0], "lam_re": 0.0, "lam_im": 0.0, "failed": false}',
+    '{"key": "k", "xi": [0.0], "lam_re": 0.0, "lam_im": 0.0, "failed": false}',
+    '{"key": "k", "fingerprint": "fp", "xi": [0.0], "lam_re": 0.0, '
+    '"lam_im": 0.0, "failed": "false"}',
+    '{"key": "k", "fingerprint": "fp", "xi": "ab", "lam_re": 0.0, '
+    '"lam_im": 0.0, "failed": false}',
+    '{"key": "k", "fingerprint": "fp", "xi": [true], "lam_re": 0.0, '
+    '"lam_im": 0.0, "failed": false}',
+    '{"key": "k", "fingerprint": "fp", "xi": [0.0], "lam_re": 0.0, '
+    '"lam_im": false, "failed": false}',
+    '{"key": "k", "fingerprint": "fp", "xi": [0.0], "lam_re": 0.0, '
+    '"lam_im": 0.0, "failed": true, "note": 3}',
+    '{"key": "k", "fingerprint": "fp", "xi": [0.0], "lam_re": 0.0, '
+    '"lam_im": 0.0, "failed": false, "digest": null}'])
 @pytest.mark.parametrize("last", [False, True])
 def test_eval_cache_rejects_lines_that_are_not_records(tmp_path, line, last):
     # a line that decodes but is not a record is corruption, even at the
@@ -369,13 +383,13 @@ def test_warm_start_stays_on_the_cold_eigenvalue_at_tail_germs(name, germs):
         viscosity = sim.model.evaluate(np.array(xi))
         warm_steady, warm = sim.solve(xi)
         # no start: the cold Stokes -> Picard -> Newton path and the sweep
-        cold_steady, cold = stability(sim.mesh, sim.space, viscosity,
+        cold_steady, cold = stability(sim.space, viscosity,
                                       sim.settings, sim.k, sim.seed)
         assert warm_steady.trace[0]["kind"] == "warm", xi
         assert len(warm_steady.trace) < len(cold_steady.trace), xi
         assert abs(warm.eigenvalue - cold.eigenvalue) <= 1e-9, xi
         # the origin sweep on the same steady state
-        ops = build_operators(sim.mesh, sim.space, viscosity)
+        ops = build_operators(sim.space, viscosity)
         sweep = rightmost(build_problem(ops, warm_steady), sim.k, sim.seed)
         assert (warm.method, sweep.method) == ("tracked", "arnoldi"), xi
         assert abs(warm.eigenvalue - sweep.eigenvalue) <= 1e-9, xi
@@ -435,7 +449,7 @@ def test_warm_solve_factors_one_steady_and_one_eigen_matrix(name, monkeypatch):
         kinds = [entry["kind"] for entry in warm_steady.trace]
         assert kinds[:2] == ["warm", "newton"], xi
         assert set(kinds[2:]) == {"chord"}, xi
-        cold = stability(sim.mesh, sim.space, sim.model.evaluate(np.array(xi)),
+        cold = stability(sim.space, sim.model.evaluate(np.array(xi)),
                          sim.settings, sim.k, sim.seed)[1]
         assert abs(warm.eigenvalue - cold.eigenvalue) <= 1e-9, xi
 
@@ -466,7 +480,7 @@ def test_tangent_start_is_nearer_than_the_nominal_state_at_tail_germs(name):
                           use_cache=False)
     for xi in RECORDED_TAIL_EIGENVALUES[name]:
         predicted = sim.solve(xi)[0].trace[0]
-        ops = build_operators(sim.mesh, sim.space,
+        ops = build_operators(sim.space,
                               sim.model.evaluate(np.array(xi)))
         plain = solve_steady(ops, sim.settings, sim.nominal.state).trace[0]
         assert predicted["kind"] == plain["kind"] == "warm", xi
@@ -512,7 +526,7 @@ def test_diverging_warm_start_gives_the_cold_record():
     velocity[sim.space.interior] *= 10.0
     spoiled = FlowState(velocity, state.pressure)
     xi = np.array([0.95, 0.95])
-    ops = build_operators(sim.mesh, sim.space, sim.model.evaluate(xi))
+    ops = build_operators(sim.space, sim.model.evaluate(xi))
     reference = solve_steady(ops, sim.settings).reference
     with pytest.raises(ConvergenceError) as info:
         steady._iterate(ops, reference, spoiled, "warm",

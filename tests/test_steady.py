@@ -29,7 +29,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 def poiseuille_setup(pressure="q1", nx=6, ny=4, length=3.0):
     mesh = channel_mesh(nx=nx, ny=ny, length=length)
     space = build_space(mesh, pressure)
-    ops = build_operators(mesh, space, constant_field(mesh, NU))
+    ops = build_operators(space, constant_field(mesh, NU))
     x, y = mesh.vnode_xy.T
     exact_u = np.concatenate([1.0 - y**2, np.zeros_like(y)])
     return mesh, space, ops, exact_u
@@ -57,7 +57,7 @@ def test_poiseuille_flow_is_reproduced_exactly(pressure):
 def test_zero_inflow_gives_zero_state():
     mesh = channel_mesh(nx=4, ny=4, length=2.0, profile=lambda x, y: (0.0, 0.0))
     space = build_space(mesh, "q1")
-    ops = build_operators(mesh, space, constant_field(mesh, 0.05))
+    ops = build_operators(space, constant_field(mesh, 0.05))
     result = solve_steady(ops)
     np.testing.assert_allclose(result.state.velocity, 0.0, atol=1e-14)
     np.testing.assert_allclose(result.state.pressure, 0.0, atol=1e-13)
@@ -94,7 +94,7 @@ def test_newton_step_from_solution_stays_put():
 def obstacle_result():
     mesh = obstacle_mesh(refine=1)
     space = build_space(mesh, "q1")
-    ops = build_operators(mesh, space, constant_field(mesh, 5.36193e-3))
+    ops = build_operators(space, constant_field(mesh, 5.36193e-3))
     return mesh, space, solve_steady(ops)
 
 
@@ -117,7 +117,7 @@ def test_one_convection_assembly_per_iterate(monkeypatch):
 
     mesh = obstacle_mesh(refine=1)
     space = build_space(mesh, "q1")
-    ops = build_operators(mesh, space, constant_field(mesh, 5.36193e-3))
+    ops = build_operators(space, constant_field(mesh, 5.36193e-3))
     calls = []
     original = steady.assemble_convection
     monkeypatch.setattr(steady, "assemble_convection",
@@ -161,7 +161,7 @@ def test_obstacle_base_flow_is_mirror_symmetric(obstacle_result):
 def test_budget_exhaustion_raises_with_trace():
     mesh = obstacle_mesh(refine=1)
     space = build_space(mesh, "q1")
-    ops = build_operators(mesh, space, constant_field(mesh, 5.36193e-3))
+    ops = build_operators(space, constant_field(mesh, 5.36193e-3))
     with pytest.raises(ConvergenceError) as info:
         solve_steady(ops, SolverSettings(picard_steps=1, newton_steps=0))
     assert len(info.value.trace) == 2
@@ -178,7 +178,7 @@ def test_chord_refactors_after_a_step_that_fails_to_halve(monkeypatch):
     sim = build_simulator(load_config(CONFIG_DIR / "obstacle_desk.yaml"), 0.1,
                           use_cache=False)
     xi = np.array([-3.0, 3.0])
-    ops = build_operators(sim.mesh, sim.space, sim.model.evaluate(xi))
+    ops = build_operators(sim.space, sim.model.evaluate(xi))
     start = sim.nominal.start(-xi)
     factored, original = [], steady.splu
     monkeypatch.setattr(steady, "splu", lambda matrix, **kwargs:
@@ -202,7 +202,7 @@ def test_warm_start_at_the_solution_takes_no_step(obstacle_result, monkeypatch):
     import flowstab.steady as steady
 
     mesh, space, cold = obstacle_result
-    ops = build_operators(mesh, space, constant_field(mesh, 5.36193e-3))
+    ops = build_operators(space, constant_field(mesh, 5.36193e-3))
     factored, original = [], steady.splu
     monkeypatch.setattr(steady, "splu", lambda matrix, **kwargs:
                         factored.append(1) or original(matrix, **kwargs))
@@ -219,7 +219,7 @@ def test_each_factor_is_freed_before_the_next_is_built(monkeypatch):
 
     mesh = obstacle_mesh(refine=1)
     space = build_space(mesh, "q1")
-    ops = build_operators(mesh, space, constant_field(mesh, 5.36193e-3))
+    ops = build_operators(space, constant_field(mesh, 5.36193e-3))
     alive, at_factor, original = [0], [], steady.splu
 
     class TrackedLU:
@@ -256,7 +256,7 @@ def test_stokes_initial_iterate_satisfies_boundary_data():
     # keeps the boundary values and solves the lifted Stokes system
     mesh = obstacle_mesh(refine=1)
     space = build_space(mesh, "q1")
-    ops = build_operators(mesh, space, constant_field(mesh, 0.05))
+    ops = build_operators(space, constant_field(mesh, 0.05))
     lift = FlowState(np.zeros(space.n_u), np.zeros(space.n_p))
     lift.velocity[space.dirichlet] = space.dirichlet_values
     stokes = saddle_plan(space).fill(ops.diffusion, ops.divergence)
@@ -291,7 +291,7 @@ def test_plan_square_part_is_the_sliced_saddle_matrix(pressure):
     # sparse sum drops)
     mesh = obstacle_mesh(refine=1)
     space = build_space(mesh, pressure)
-    ops = build_operators(mesh, space, constant_field(mesh, 5.36193e-3))
+    ops = build_operators(space, constant_field(mesh, 5.36193e-3))
     result = solve_steady(ops)
     u = result.state.velocity
     plan = saddle_plan(space)
@@ -341,7 +341,7 @@ def test_tangent_matches_central_differences_of_steady_states(kind):
         model = build_lognormal(0.01, 0.1, kl, 2, 3)
 
     def ops_at(xi):
-        return build_operators(mesh, space, model.evaluate(xi))
+        return build_operators(space, model.evaluate(xi))
 
     origin = np.zeros(2)
     ops = ops_at(origin)
