@@ -52,7 +52,7 @@ def main():
     print("  cov   rejected    min field / nu1")
     rng = np.random.default_rng(3)
     for cov in (0.1, 0.3, 0.5, 0.7):
-        affine = build_affine(nu1, cov, kl2, config.m)
+        affine = build_affine(nu1, cov, kl2)
         fails = 0
         vmin = np.inf
         for _ in range(N_DRAWS):

@@ -18,9 +18,10 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError, GeometryError, RankDeficiencyError
+from .gpc import FAMILIES
 from .meshes import Mesh, MixedSpace, build_space, obstacle_mesh, step_mesh
 from .randomfield import KlExpansion, kl_decompose
-from .simulate import Simulator, family_distribution
+from .simulate import Simulator
 from .steady import SolverSettings
 from .viscosity import ViscosityModel, build_affine, build_lognormal
 
@@ -105,7 +106,7 @@ class ExperimentConfig:
 
     @property
     def distribution(self) -> str:
-        return family_distribution(self.family)
+        return FAMILIES[self.family]
 
     def resolved(self) -> dict:
         """Every setting but the paths made explicit, for embedding into
@@ -262,7 +263,7 @@ def build_kl(config: ExperimentConfig, mesh: Mesh) -> KlExpansion:
     lx = fx * float(xs[-1] - xs[0])
     ly = fy * float(ys[-1] - ys[0])
     try:
-        return kl_decompose(mesh, config.m, 1.0, lx, ly)
+        return kl_decompose(mesh, config.m, lx, ly)
     except RankDeficiencyError as exc:
         raise ConfigError(f"viscosity.m = {config.m}: {exc}") from exc
 
@@ -270,8 +271,8 @@ def build_kl(config: ExperimentConfig, mesh: Mesh) -> KlExpansion:
 def build_model(config: ExperimentConfig, kl: KlExpansion,
                 cov: float) -> ViscosityModel:
     if config.benchmark == "obstacle":
-        return build_lognormal(config.nu1, cov, kl, config.m, config.p)
-    return build_affine(config.nu1, cov, kl, config.m)
+        return build_lognormal(config.nu1, cov, kl, config.p)
+    return build_affine(config.nu1, cov, kl)
 
 
 def build_simulator(config: ExperimentConfig, cov: float,

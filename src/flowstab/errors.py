@@ -17,8 +17,9 @@ class ConfigError(FlowstabError):
 
 
 class GeometryError(FlowstabError):
-    """Mesh construction request that cannot be honoured (misaligned
-    features, non-positive sizes, unknown benchmark)."""
+    """Mesh or space construction request that cannot be honoured
+    (misaligned features, non-positive sizes, an unknown grading mode or
+    pressure space, a boundary edge that no tag covers)."""
 
 
 class SolverError(FlowstabError):
@@ -51,8 +52,8 @@ class PositivityError(FlowstabError):
 
 
 class FieldError(FlowstabError):
-    """Random-field construction failure (indefinite covariance sample,
-    unreachable coefficient of variation, bad truncation order)."""
+    """Viscosity model construction failure: a negative coefficient of
+    variation."""
 
 
 class TrainingError(FlowstabError):

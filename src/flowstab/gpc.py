@@ -23,7 +23,8 @@ from math import comb
 
 import numpy as np
 
-FAMILIES = ("hermite", "legendre")
+#: basis family -> law of the germ it is orthonormal under
+FAMILIES = {"hermite": "normal", "legendre": "uniform"}
 
 
 def compositions(total: int, parts: int):
@@ -138,7 +139,7 @@ class GpcBasis:
     @classmethod
     def total_degree(cls, family: str, dim: int, degree: int) -> "GpcBasis":
         if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+            raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
         return cls(family, dim, degree, multi_indices(dim, degree))
 
     @property

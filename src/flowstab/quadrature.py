@@ -37,7 +37,7 @@ def gauss_1d(family: str, order: int) -> tuple[np.ndarray, np.ndarray]:
     exact for polynomials of degree ``2*order - 1``.
     """
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
     if order < 1:
         raise ValueError("order must be >= 1")
     if family == "hermite":

@@ -1,12 +1,14 @@
 """Karhunen-Loeve machinery for the separable exponential covariance.
 
-The covariance operator is discretized with a Nystrom method on the
-element midpoints, using cell areas as quadrature weights.  The
-symmetrized problem ``D^{1/2} C D^{1/2} u = lambda u`` (``D`` the weight
-diagonal) is solved densely and mapped back through ``v = D^{-1/2} u``,
-so the discrete modes are orthonormal in the area-weighted inner
-product.  Values anywhere else, in particular at the 3x3 Gauss points
-consumed by matrix assembly, come from the Nystrom extension
+The covariance has unit variance, since the viscosity models rescale the
+modes to their CoV at a probe point anyway.  The operator is discretized
+with a Nystrom method on the element midpoints, using cell areas as
+quadrature weights.  The symmetrized problem
+``D^{1/2} C D^{1/2} u = lambda u`` (``D`` the weight diagonal) is solved
+densely and mapped back through ``v = D^{-1/2} u``, so the discrete modes
+are orthonormal in the area-weighted inner product.  Values anywhere else,
+in particular at the 3x3 Gauss points consumed by matrix assembly, come
+from the Nystrom extension
 
     v(x) = (1/lambda) sum_i w_i C(x, x_i) v(x_i),
 
@@ -30,13 +32,12 @@ _RANK_RTOL = 1e-12
 
 
 def covariance_matrix(a: np.ndarray, b: np.ndarray,
-                      sigma: float, lx: float, ly: float) -> np.ndarray:
-    """Separable exponential covariance for every pair of rows of ``a``
-    (na, 2) and ``b`` (nb, 2); an infinite correlation length flattens
-    that direction."""
-    dx = np.abs(a[:, None, 0] - b[None, :, 0])
-    dy = np.abs(a[:, None, 1] - b[None, :, 1])
-    return sigma**2 * np.exp(-(dx / lx + dy / ly))
+                      lx: float, ly: float) -> np.ndarray:
+    """Unit-variance separable exponential covariance for every pair of
+    rows of ``a`` (na, 2) and ``b`` (nb, 2); an infinite correlation
+    length flattens that direction."""
+    return np.exp(-(np.abs(a[:, None, 0] - b[None, :, 0]) / lx
+                    + np.abs(a[:, None, 1] - b[None, :, 1]) / ly))
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class KlExpansion:
     """Leading eigenpairs of the discretized covariance operator."""
 
     mesh: Mesh
-    sigma: float
     lx: float
     ly: float
     nodes: np.ndarray        # (n, 2) element midpoints
@@ -59,7 +59,7 @@ class KlExpansion:
     def extend(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every mode at ``points`` (n_pts, 2); returns (m, n_pts)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        c = covariance_matrix(pts, self.nodes, self.sigma, self.lx, self.ly)
+        c = covariance_matrix(pts, self.nodes, self.lx, self.ly)
         return (self.modes * self.weights) @ c.T / self.eigenvalues[:, None]
 
     @cached_property
@@ -80,8 +80,14 @@ class KlExpansion:
         """Mode values at the probe point, shape (m,)."""
         return self.extend(self.probe[None, :])[:, 0]
 
+    @property
+    def probe_variance(self) -> float:
+        """Variance of the truncated expansion at the probe point,
+        ``sum_j lambda_j v_j(probe)^2``."""
+        return float(np.sum(self.eigenvalues * self.probe_values**2))
 
-def kl_decompose(mesh: Mesh, m: int, sigma: float, lx: float, ly: float) -> KlExpansion:
+
+def kl_decompose(mesh: Mesh, m: int, lx: float, ly: float) -> KlExpansion:
     """Top-``m`` KL eigenpairs of the kernel on the mesh domain.
 
     Raises ``RankDeficiencyError`` when fewer than ``m`` numerically
@@ -98,7 +104,7 @@ def kl_decompose(mesh: Mesh, m: int, sigma: float, lx: float, ly: float) -> KlEx
     if m > nodes.shape[0]:
         raise RankDeficiencyError(
             f"{m} modes requested from {nodes.shape[0]} discretization nodes")
-    c = covariance_matrix(nodes, nodes, sigma, lx, ly)
+    c = covariance_matrix(nodes, nodes, lx, ly)
     root = np.sqrt(weights)
     k = root[:, None] * c * root[None, :]
     vals, vecs = linalg.eigh(0.5 * (k + k.T))
@@ -111,5 +117,4 @@ def kl_decompose(mesh: Mesh, m: int, sigma: float, lx: float, ly: float) -> KlEx
     # orient deterministically: the largest-magnitude node value is positive
     flip = modes[np.arange(m), np.abs(modes).argmax(axis=1)] < 0
     modes[flip] *= -1.0
-    return KlExpansion(mesh, float(sigma), float(lx), float(ly),
-                       nodes, weights, vals, modes)
+    return KlExpansion(mesh, float(lx), float(ly), nodes, weights, vals, modes)

@@ -27,12 +27,11 @@ import numpy as np
 
 from .errors import ConfigError, EigenError, PositivityError, SolverError
 from .eigen import EigenResult, build_problem, rightmost
+from .gpc import FAMILIES
 from .meshes import MixedSpace
 from .steady import (FlowState, SolverSettings, SteadyResult, build_operators,
                      factor, solve_steady, tangent)
 from .viscosity import ViscosityModel
-
-DISTRIBUTIONS = ("normal", "uniform")
 
 
 def _one_blas_thread() -> None:
@@ -75,17 +74,6 @@ _one_blas_thread()
 #: 7: chord steps from that prediction, and threshold pivoting in every LU
 ALGORITHM = 7
 
-#: basis family -> sampling distribution of the germ
-FAMILY_DISTRIBUTION = {"hermite": "normal", "legendre": "uniform"}
-
-
-def family_distribution(family: str) -> str:
-    try:
-        return FAMILY_DISTRIBUTION[family]
-    except KeyError:
-        raise ConfigError(f"no sampling distribution for basis family {family!r}")
-
-
 @dataclass(frozen=True)
 class SampleSet:
     """Reproducible batch of germ draws ``xi`` with their provenance."""
@@ -96,7 +84,7 @@ class SampleSet:
 
     def __post_init__(self):
         object.__setattr__(self, "xi", np.atleast_2d(np.asarray(self.xi, dtype=float)))
-        if self.distribution not in DISTRIBUTIONS:
+        if self.distribution not in FAMILIES.values():
             raise ConfigError(f"unknown distribution {self.distribution!r}")
 
     @property
@@ -456,7 +444,7 @@ def monte_carlo(simulator: Simulator, samples: SampleSet,
         raise ConfigError(
             f"sample dimension {samples.dim} does not match "
             f"viscosity model dimension {simulator.model.dim}")
-    want = family_distribution(simulator.model.basis.family)
+    want = FAMILIES[simulator.model.basis.family]
     if samples.distribution != want:
         raise ConfigError(
             f"samples drawn from {samples.distribution!r} but the "

@@ -8,7 +8,8 @@ model stores one coefficient field per basis function, sampled at the
 assembly quadrature points, so a realization is a single tensor
 contraction.
 
-Amplitudes are calibrated at the domain-center probe: the coefficient
+Each model takes every mode of a unit-variance KL expansion and
+calibrates the amplitudes at the domain-center probe: the coefficient
 of variation of the field equals the configured CoV there exactly,
 which absorbs the variance lost to KL truncation.
 """
@@ -39,7 +40,7 @@ class ViscosityModel:
     cov: float
     basis: GpcBasis
     coeffs: np.ndarray
-    sigma_g: float
+    sigma_g: float       # lognormal: scale of the KL modes in the exponent; affine: 1
     lx: float
     ly: float
 
@@ -113,9 +114,9 @@ def hermite_lognormal_coeffs(g0: np.ndarray, gs: np.ndarray,
     return basis, coeffs
 
 
-def build_lognormal(nu1: float, cov: float, kl: KlExpansion, m: int,
-                    p: int) -> ViscosityModel:
-    """Truncated lognormal model with mean ``nu1`` everywhere.
+def build_lognormal(nu1: float, cov: float, kl: KlExpansion, p: int) -> ViscosityModel:
+    """Truncated lognormal model on every mode of ``kl``, with mean ``nu1``
+    everywhere.
 
     The Gaussian exponent is ``sum_j g_j(x) xi_j`` with
     ``g_j = c sqrt(lambda_j) v_j`` and ``c`` chosen so that the probe
@@ -126,21 +127,16 @@ def build_lognormal(nu1: float, cov: float, kl: KlExpansion, m: int,
     """
     if cov < 0:
         raise FieldError("CoV must be nonnegative")
-    if m > kl.n_modes:
-        raise FieldError(f"model wants {m} KL modes, expansion holds {kl.n_modes}")
-    lam = kl.eigenvalues[:m]
-    s2_probe = float(np.sum(lam * kl.probe_values[:m] ** 2))
-    target = math.log1p(cov**2)
-    scale = math.sqrt(target / s2_probe)
-    gs = scale * np.sqrt(lam)[:, None, None] * kl.quad_values[:m]
+    scale = math.sqrt(math.log1p(cov**2) / kl.probe_variance)
+    gs = scale * np.sqrt(kl.eigenvalues)[:, None, None] * kl.quad_values
     g0 = math.log(nu1) - 0.5 * np.sum(gs**2, axis=0)
     basis, coeffs = hermite_lognormal_coeffs(g0, gs, 2 * p)
     return ViscosityModel("lognormal", float(nu1), float(cov), basis, coeffs,
-                          scale * kl.sigma, kl.lx, kl.ly)
+                          scale, kl.lx, kl.ly)
 
 
-def build_affine(nu1: float, cov: float, kl: KlExpansion, m: int) -> ViscosityModel:
-    """Affine model: mean plus one linear term per KL mode.
+def build_affine(nu1: float, cov: float, kl: KlExpansion) -> ViscosityModel:
+    """Affine model: mean plus one linear term per mode of ``kl``.
 
     Mode amplitudes are rescaled so the standard deviation at the probe
     equals ``cov * nu1``; a degree-1 Legendre basis carries the terms,
@@ -149,14 +145,10 @@ def build_affine(nu1: float, cov: float, kl: KlExpansion, m: int) -> ViscosityMo
     """
     if cov < 0:
         raise FieldError("CoV must be nonnegative")
-    if m > kl.n_modes:
-        raise FieldError(f"model wants {m} KL modes, expansion holds {kl.n_modes}")
-    lam = kl.eigenvalues[:m]
-    s2_probe = float(np.sum(lam * kl.probe_values[:m] ** 2))
-    basis = GpcBasis.total_degree("legendre", m, 1)
-    coeffs = np.empty((m + 1,) + kl.quad_values.shape[1:])
+    basis = GpcBasis.total_degree("legendre", kl.n_modes, 1)
+    coeffs = np.empty((basis.n_terms,) + kl.quad_values.shape[1:])
     coeffs[0] = nu1
-    amp = cov * nu1 / math.sqrt(s2_probe)
-    coeffs[1:] = amp * np.sqrt(lam)[:, None, None] * kl.quad_values[:m]
+    amp = cov * nu1 / math.sqrt(kl.probe_variance)
+    coeffs[1:] = amp * np.sqrt(kl.eigenvalues)[:, None, None] * kl.quad_values
     return ViscosityModel("affine", float(nu1), float(cov), basis, coeffs,
-                          kl.sigma, kl.lx, kl.ly)
+                          1.0, kl.lx, kl.ly)

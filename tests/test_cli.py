@@ -470,13 +470,17 @@ def test_cov_list_gives_two_blocks(workdir):
     assert (workdir / "out_2c" / "kde_cov5pct.csv").exists()
 
 
-def test_cache_inspect_and_clear(config_path, workdir, capsys):
-    assert main(["cache", "--config", str(config_path), "inspect"]) == 0
+def test_cache_inspect_and_clear(workdir, capsys):
+    path = write_config(workdir / "inspect.yaml", surrogates={"models": ["sc"]},
+                        paths={"outdir": "out_inspect", "cache": "cache.jsonl"})
+    assert main(["train", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["cache", "--config", str(path), "inspect"]) == 0
     out = capsys.readouterr().out
-    assert "records" in out and "configurations" in out
-    assert main(["cache", "--config", str(config_path), "clear"]) == 0
-    assert not (workdir / "out" / "cache.jsonl").exists()
-    assert main(["cache", "--config", str(config_path), "inspect"]) == 0
+    assert "0 failed, 1 distinct configurations" in out
+    assert main(["cache", "--config", str(path), "clear"]) == 0
+    assert not (workdir / "out_inspect" / "cache.jsonl").exists()
+    assert main(["cache", "--config", str(path), "inspect"]) == 0
     assert "no cache" in capsys.readouterr().out
 
 

@@ -19,11 +19,11 @@ from flowstab import eigen, simulate, steady
 from flowstab.config import build_simulator, load_config
 from flowstab.eigen import build_problem, rightmost
 from flowstab.errors import ConfigError, ConvergenceError, EigenError
+from flowstab.gpc import FAMILIES
 from flowstab.meshes import build_space, channel_mesh, obstacle_mesh
 from flowstab.randomfield import kl_decompose
 from flowstab.simulate import (EvalCache, McResult, Nominal, SampleRecord,
-                               SampleSet, Simulator, family_distribution,
-                               monte_carlo, stability)
+                               SampleSet, Simulator, monte_carlo, stability)
 from flowstab.steady import FlowState, build_operators, solve_steady
 from flowstab.viscosity import build_affine, build_lognormal
 
@@ -36,31 +36,24 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def toy():
     mesh = channel_mesh(8, 4, length=2.0)
     space = build_space(mesh, "q1")
-    kl = kl_decompose(mesh, 2, 1.0, 0.5, 0.5)
+    kl = kl_decompose(mesh, 2, 0.5, 0.5)
     return mesh, space, kl
 
 
 def make_sim(toy, kind="affine", cov=0.1, **kwargs):
     mesh, space, kl = toy
     if kind == "affine":
-        model = build_affine(NU1, cov, kl, 2)
+        model = build_affine(NU1, cov, kl)
     else:
-        model = build_lognormal(NU1, cov, kl, 2, 3)
+        model = build_lognormal(NU1, cov, kl, 3)
     return Simulator(space, model, label="toy-channel", **kwargs)
 
 
 def run_one(sim, xi):
     """One cached evaluation: a single-sample Monte Carlo run."""
-    distribution = family_distribution(sim.model.basis.family)
-    samples = SampleSet(np.array([xi], dtype=float), 0, distribution)
+    samples = SampleSet(np.array([xi], dtype=float), 0,
+                        FAMILIES[sim.model.basis.family])
     return monte_carlo(sim, samples).records[0]
-
-
-def test_family_distribution_map():
-    assert family_distribution("hermite") == "normal"
-    assert family_distribution("legendre") == "uniform"
-    with pytest.raises(ConfigError):
-        family_distribution("laguerre")
 
 
 def test_sample_set_draws_reproducible():
@@ -177,7 +170,7 @@ def test_fingerprint_identifies_the_mesh():
     # box; with one viscosity model only the breakpoints tell them apart
     uniform = obstacle_mesh(refine=1, stretch=1.0)
     graded = obstacle_mesh(refine=1, stretch=5.0)
-    model = build_affine(NU1, 0.1, kl_decompose(uniform, 2, 1.0, 2.0, 0.5), 2)
+    model = build_affine(NU1, 0.1, kl_decompose(uniform, 2, 2.0, 0.5))
     a = Simulator(build_space(uniform, "q1"), model)
     b = Simulator(build_space(graded, "q1"), model)
     assert a.fingerprint != b.fingerprint
@@ -228,11 +221,22 @@ def test_monte_carlo_failed_samples_excluded(toy):
 
 
 def test_monte_carlo_rejects_mismatches(toy):
-    sim = make_sim(toy)     # legendre basis wants uniform germs
-    with pytest.raises(ConfigError):
-        monte_carlo(sim, SampleSet.draw(2, 2, "normal", seed=0))
+    sim = make_sim(toy)
     with pytest.raises(ConfigError):
         monte_carlo(sim, SampleSet.draw(2, 3, "uniform", seed=0))
+
+
+@pytest.mark.parametrize("kind, distribution",
+                         [("lognormal", "uniform"), ("affine", "normal")])
+def test_monte_carlo_rejects_the_other_germ_law_before_any_solve(
+        toy, monkeypatch, kind, distribution):
+    sim = make_sim(toy, kind=kind)
+    solves = []
+    monkeypatch.setattr(simulate, "solve_steady",
+                        lambda *args, **kwargs: solves.append(args))
+    with pytest.raises(ConfigError, match=f"drawn from '{distribution}'"):
+        monte_carlo(sim, SampleSet.draw(3, 2, distribution, seed=0), workers=2)
+    assert solves == [] and "nominal" not in vars(sim)
 
 
 def test_monte_carlo_lognormal_normal_germs(toy):

@@ -334,11 +334,11 @@ def test_settings_defaults_and_step_budget():
 def test_tangent_matches_central_differences_of_steady_states(kind):
     mesh = channel_mesh(8, 4, length=2.0)
     space = build_space(mesh, "q1")
-    kl = kl_decompose(mesh, 2, 1.0, 0.5, 0.5)
+    kl = kl_decompose(mesh, 2, 0.5, 0.5)
     if kind == "affine":
-        model = build_affine(0.01, 0.1, kl, 2)
+        model = build_affine(0.01, 0.1, kl)
     else:
-        model = build_lognormal(0.01, 0.1, kl, 2, 3)
+        model = build_lognormal(0.01, 0.1, kl, 3)
 
     def ops_at(xi):
         return build_operators(space, model.evaluate(xi))

@@ -28,7 +28,7 @@ def mesh():
 
 @pytest.fixture(scope="module")
 def kl(mesh):
-    return kl_decompose(mesh, m=2, sigma=1.0, lx=0.625, ly=0.5)
+    return kl_decompose(mesh, m=2, lx=0.625, ly=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -41,20 +41,20 @@ def probe_index(mesh):
 
 
 def test_affine_mean_and_deterministic_limit(kl):
-    model = build_affine(NU1, 0.1, kl, 2)
+    model = build_affine(NU1, 0.1, kl)
     assert model.basis.family == "legendre"
     assert model.n_terms == 3
     np.testing.assert_allclose(model.coeffs[0], NU1)
     field = model.evaluate(np.zeros(2))
     np.testing.assert_allclose(field, NU1, rtol=1e-14)
-    frozen = build_affine(NU1, 0.0, kl, 2)
+    frozen = build_affine(NU1, 0.0, kl)
     field = frozen.evaluate(np.array([0.83, -0.41]))
     np.testing.assert_allclose(field, NU1, rtol=1e-14)
 
 
 def test_affine_single_mode_realization(kl):
     cov = 0.1
-    model = build_affine(NU1, cov, kl, 2)
+    model = build_affine(NU1, cov, kl)
     got = model.evaluate(np.array([1.0, 0.0]))
     # raw form: nu1 + sigma_nu * sqrt(3 lam_1) v_1 / probe scale, at xi_1 = 1
     s2 = np.sum(kl.eigenvalues * kl.probe_values**2)
@@ -64,7 +64,7 @@ def test_affine_single_mode_realization(kl):
 
 def test_affine_pointwise_variance(kl, probe_index):
     ci, qi = probe_index
-    model = build_affine(NU1, 0.1, kl, 2)
+    model = build_affine(NU1, 0.1, kl)
     linear = model.coeffs[1:, ci, qi]
     # orthonormal basis: variance is the sum of squared non-mean coefficients
     analytic = np.sum(linear**2)
@@ -84,12 +84,12 @@ def test_cov_accounting_at_probe(kl, probe_index):
     cov = 0.1
     rng = np.random.default_rng(5)
 
-    affine = build_affine(NU1, cov, kl, 2)
+    affine = build_affine(NU1, cov, kl)
     xi = rng.uniform(-1.0, 1.0, size=(100_000, 2))
     vals = affine.basis.evaluate(xi) @ affine.coeffs[:, ci, qi]
     assert np.std(vals) / np.mean(vals) == pytest.approx(cov, rel=0.02)
 
-    lognormal = build_lognormal(NU1, cov, kl, 2, 3)
+    lognormal = build_lognormal(NU1, cov, kl, 3)
     xi = rng.standard_normal(size=(100_000, 2))
     vals = lognormal.basis.evaluate(xi) @ lognormal.coeffs[:, ci, qi]
     assert np.std(vals) / np.mean(vals) == pytest.approx(cov, rel=0.02)
@@ -100,19 +100,19 @@ def test_cov_accounting_at_probe(kl, probe_index):
 
 @pytest.mark.parametrize("cov", [0.01, 0.1])
 def test_lognormal_mean_exact(kl, cov):
-    model = build_lognormal(NU1, cov, kl, 2, 3)
+    model = build_lognormal(NU1, cov, kl, 3)
     np.testing.assert_allclose(model.coeffs[0], NU1, rtol=1e-12)
 
 
 def test_lognormal_term_count(kl):
-    model = build_lognormal(NU1, 0.1, kl, 2, 3)
+    model = build_lognormal(NU1, 0.1, kl, 3)
     assert model.basis.degree == 6
     assert model.n_terms == math.comb(2 + 6, 6) == 28
 
 
 def test_lognormal_matches_exact_field(kl):
     cov = 0.1
-    model = build_lognormal(NU1, cov, kl, 2, 3)
+    model = build_lognormal(NU1, cov, kl, 3)
     scale = math.sqrt(math.log1p(cov**2) / np.sum(kl.eigenvalues * kl.probe_values**2))
     gs = scale * np.sqrt(kl.eigenvalues)[:, None, None] * kl.quad_values
     rng = np.random.default_rng(7)
@@ -136,7 +136,7 @@ def test_constant_exponent_is_deterministic():
 
 def test_affine_higher_order_projections_vanish(kl, probe_index):
     ci, qi = probe_index
-    model = build_affine(NU1, 0.1, kl, 2)
+    model = build_affine(NU1, 0.1, kl)
     big = GpcBasis.total_degree("legendre", 2, 3)
     pts, wts = leggauss(8)
     xi = np.array([[a, b] for a in pts for b in pts])
@@ -150,7 +150,7 @@ def test_affine_higher_order_projections_vanish(kl, probe_index):
 
 
 def test_positivity_guard(kl):
-    model = build_affine(NU1, 5.0, kl, 2)
+    model = build_affine(NU1, 5.0, kl)
     flat = model.coeffs[1].ravel()
     worst = flat[np.argmax(np.abs(flat))]
     with pytest.raises(PositivityError):
@@ -160,8 +160,8 @@ def test_positivity_guard(kl):
         model.evaluate(np.array([np.nan, 0.0]))
 
 
-def test_mode_budget_guard(kl):
+def test_negative_cov_is_a_field_error(kl):
     with pytest.raises(FieldError):
-        build_affine(NU1, 0.1, kl, 3)
+        build_affine(NU1, -0.1, kl)
     with pytest.raises(FieldError):
-        build_lognormal(NU1, 0.1, kl, 3, 2)
+        build_lognormal(NU1, -0.1, kl, 2)
