@@ -214,8 +214,12 @@ def cmd_solve(args) -> int:
     config = load_config(args.config)
     cov = config.covs[0]
     xi = _parse_xi(args.xi, config.m)
-    prepare_outdir(config, [config.outdir / name for name in (
-        "solve.json", "velocity.npy", "pressure.npy", "solve_trace.json")])
+    outputs = [config.outdir / name for name in (
+        "solve.json", "velocity.npy", "pressure.npy", "solve_trace.json")]
+    prepare_outdir(config, outputs)
+    # a run leaves only its own files: a failed one no earlier results
+    for path in outputs:
+        path.unlink(missing_ok=True)
     sim = build_simulator(config, cov, use_cache=False)
     start = time.perf_counter()
     try:

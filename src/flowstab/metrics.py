@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-_KDE_CHUNK = 64          # grid points per evaluation block
 _KDE_POINTS = 512
 _KDE_PAD = 3.0           # window margin in bandwidths
 
@@ -67,11 +66,7 @@ def silverman_bandwidth(outputs) -> float:
 
 
 def kde(outputs, abscissae, bandwidth: float | None = None) -> np.ndarray:
-    """Gaussian kernel density estimate on the given abscissae.
-
-    Evaluation is blocked over the grid so large samples never allocate
-    the full n_grid x n_sample distance matrix.
-    """
+    """Gaussian kernel density estimate on the given abscissae."""
     outputs = np.asarray(outputs, dtype=float).ravel()
     abscissae = np.asarray(abscissae, dtype=float).ravel()
     if outputs.size == 0:
@@ -79,13 +74,9 @@ def kde(outputs, abscissae, bandwidth: float | None = None) -> np.ndarray:
     h = silverman_bandwidth(outputs) if bandwidth is None else float(bandwidth)
     if h <= 0.0:
         raise ConfigError("kde bandwidth must be positive")
-    density = np.empty_like(abscissae)
     norm = 1.0 / (outputs.size * h * _SQRT_2PI)
-    for start in range(0, abscissae.size, _KDE_CHUNK):
-        block = abscissae[start:start + _KDE_CHUNK]
-        z = (block[:, None] - outputs[None, :]) / h
-        density[start:start + _KDE_CHUNK] = norm * np.exp(-0.5 * z * z).sum(axis=1)
-    return density
+    z = (abscissae[:, None] - outputs[None, :]) / h
+    return norm * np.exp(-0.5 * z * z).sum(axis=1)
 
 
 def ks_statistic(sample_a, sample_b) -> float:

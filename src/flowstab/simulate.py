@@ -166,13 +166,18 @@ class EvalCache:
         self.path = Path(path)
         self.fingerprint = fingerprint
         self._store: dict[str, SampleRecord] = {}
-        # length the file is cut back to before the next append, so a torn
-        # tail never glues onto a new record; None when the file is whole
+        # what the next append writes first, so a new record never glues
+        # onto the last line: the length a torn tail is cut back to (None
+        # when there is none), and the newline a whole last record lacks
         self._cut: Optional[int] = None
+        self._lead = b""
         if self.path.exists():
             records, complete = read_cache(self.path)
-            if complete < self.path.stat().st_size:
+            size = self.path.stat().st_size
+            if complete < size:
                 self._cut = complete
+            elif complete > size:
+                self._lead = b"\n"
             for key, made_under, record in records:
                 if made_under == fingerprint:
                     self._store.setdefault(key, record)
@@ -193,16 +198,20 @@ class EvalCache:
         with self.path.open("ab") as fh:
             if self._cut is not None:
                 fh.truncate(self._cut)
-                self._cut = None
-            fh.write((json.dumps(data, sort_keys=True) + "\n").encode())
+            line = json.dumps(data, sort_keys=True) + "\n"
+            fh.write(self._lead + line.encode())
+            self._cut, self._lead = None, b""
 
 
 def read_cache(path) -> tuple[list, int]:
     """The ``(key, fingerprint, SampleRecord)`` of each line of a cache
-    file, and the byte length of its whole lines.
+    file, and the byte length of its whole lines, each with its newline.
 
     A run killed mid-append can leave a torn last line; an undecodable last
     line is skipped with a warning on stderr and does not count as whole.
+    A last line that decodes is whole even without its newline; the
+    length then counts that newline too, and so exceeds the file size by
+    one.
     An undecodable line anywhere else, or any line that decodes to
     something other than a record, means the file is corrupt, and a
     directory at `path` is a configuration error.
@@ -233,6 +242,8 @@ def read_cache(path) -> tuple[list, int]:
             records.append((key, fingerprint, record))
         if line.endswith(b"\n"):
             complete += len(line)
+        elif line.strip():
+            complete += len(line) + 1
     return records, complete
 
 

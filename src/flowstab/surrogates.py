@@ -367,90 +367,78 @@ def nn_train(design: TrainingSet, seed: int = 0) -> NnSurrogate:
         raise TrainingError(
             f"network training needs at least {MIN_DESIGN['nn']} samples")
     rng = np.random.default_rng(seed)
-    lo = design.inputs.min(axis=0)
-    hi = design.inputs.max(axis=0)
+    lo, hi = design.inputs.min(axis=0), design.inputs.max(axis=0)
     x_all = _unit_box(design.inputs, lo, hi)
     y_all = design.scaled_targets
-    idx_train, idx_val, idx_test = _split_indices(rng, design.n)
-    x, y = x_all[idx_train], y_all[idx_train]
+    splits = dict(zip(("train", "val", "test"), _split_indices(rng, design.n)))
+    x, y = x_all[splits["train"]], y_all[splits["train"]]
     n, m = x.shape
+
+    def evaluate(theta):
+        """Hidden activations, residual, SSE and squared weight norm."""
+        out, h = _nn_forward(*_nn_unpack(theta, m), x)
+        resid = out - y
+        return h, resid, float(resid @ resid), float(theta @ theta)
 
     theta = _nn_init(rng, m)
     n_par = theta.size
-    alpha, beta = 0.0, 1.0
-    mu = _MU0
-    out, h = _nn_forward(*_nn_unpack(theta, m), x)
-    resid = out - y
-    e_data = float(resid @ resid)
-    e_weight = float(theta @ theta)
-    objective = beta * e_data + alpha * e_weight
+    eye = np.eye(n_par)
+    alpha, beta, mu = 0.0, 1.0, _MU0
+    h, resid, e_data, e_weight = evaluate(theta)
+    # the Jacobian at each accepted point serves both the evidence update
+    # made there and the next step's gradient and curvature
+    jac = _nn_jacobian(theta, x, h)
+    jtj = jac.T @ jac
     # best-so-far is compared under the *current* hyperparameters, since
     # the objective scale moves whenever (alpha, beta) are re-estimated
-    best = (theta.copy(), e_data, e_weight)
-    grad_norm = math.inf
-    iters = 0
+    best = (theta, e_data, e_weight)
 
     for iters in range(1, _MAX_ITERS + 1):
-        jac = _nn_jacobian(theta, x, h)
+        objective = beta * e_data + alpha * e_weight
         grad = 2.0 * beta * (jac.T @ resid) + 2.0 * alpha * theta
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm < _GRAD_TOL:
             break
-        hess = 2.0 * beta * (jac.T @ jac) + 2.0 * alpha * np.eye(n_par)
-        accepted = False
+        hess = 2.0 * beta * jtj + 2.0 * alpha * eye
         while mu <= _MU_MAX:
             try:
-                step = np.linalg.solve(hess + mu * np.eye(n_par), -grad)
+                step = np.linalg.solve(hess + mu * eye, -grad)
             except np.linalg.LinAlgError:
                 mu *= _MU_INC
                 continue
             trial = theta + step
-            t_out, t_h = _nn_forward(*_nn_unpack(trial, m), x)
-            t_resid = t_out - y
-            t_ed = float(t_resid @ t_resid)
-            t_ew = float(trial @ trial)
+            t_h, t_resid, t_ed, t_ew = evaluate(trial)
             t_obj = beta * t_ed + alpha * t_ew
             if not math.isfinite(t_obj):
                 raise TrainingError("network objective became non-finite")
             if t_obj < objective:
-                theta, out, h, resid = trial, t_out, t_h, t_resid
-                e_data, e_weight, objective = t_ed, t_ew, t_obj
+                theta, h, resid, e_data, e_weight = trial, t_h, t_resid, t_ed, t_ew
                 mu = max(mu * _MU_DEC, 1e-20)
-                accepted = True
                 break
             mu *= _MU_INC
-        if not accepted:
+        else:
             break       # damping budget exhausted without progress
         # evidence update on the regularized curvature at the new point
         jac = _nn_jacobian(theta, x, h)
-        hess = 2.0 * beta * (jac.T @ jac) + 2.0 * alpha * np.eye(n_par)
+        jtj = jac.T @ jac
+        hess = 2.0 * beta * jtj + 2.0 * alpha * eye
         gamma = n_par - 2.0 * alpha * float(np.trace(np.linalg.inv(hess)))
         gamma = min(max(gamma, 0.0), float(n_par))
         alpha = min(gamma / max(2.0 * e_weight, 1e-300), _HYPER_CAP)
         beta = min(max(n - gamma, 1e-10) / max(2.0 * e_data, 1e-300), _HYPER_CAP)
-        objective = beta * e_data + alpha * e_weight
-        if objective < beta * best[1] + alpha * best[2]:
-            best = (theta.copy(), e_data, e_weight)
+        if beta * e_data + alpha * e_weight < beta * best[1] + alpha * best[2]:
+            best = (theta, e_data, e_weight)
 
-    best_theta = best[0]
-    w1, b1, w2, b2 = _nn_unpack(best_theta, m)
+    w1, b1, w2, b2 = _nn_unpack(best[0], m)
 
     def split_mse(idx):
-        if idx.size == 0:
-            return None
         pred, _ = _nn_forward(w1, b1, w2, b2, x_all[idx])
-        return float(np.mean((pred - y_all[idx]) ** 2))
+        return float(np.mean((pred - y_all[idx]) ** 2)) if idx.size else None
 
-    info = {
-        "iterations": iters,
-        "gradient": grad_norm,
-        "alpha": alpha,
-        "beta": beta,
-        "mse_train": split_mse(idx_train),
-        "mse_val": split_mse(idx_val),
-        "mse_test": split_mse(idx_test),
-        "split": [int(idx_train.size), int(idx_val.size), int(idx_test.size)],
-    }
+    info = {"iterations": iters, "gradient": grad_norm,
+            "alpha": alpha, "beta": beta,
+            **{f"mse_{name}": split_mse(idx) for name, idx in splits.items()},
+            "split": [int(idx.size) for idx in splits.values()]}
     return NnSurrogate(w1, b1, w2, float(b2), lo, hi, design.scaler,
                        int(seed), info)
 

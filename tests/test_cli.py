@@ -18,7 +18,7 @@ from conftest import CONFIGS
 from flowstab import simulate
 from flowstab.cli import _resolve_workers, main, surrogate_path
 from flowstab.config import build_simulator, cov_tag, load_config
-from flowstab.errors import ConvergenceError
+from flowstab.errors import ConvergenceError, EigenError
 from flowstab.surrogates import FIT
 
 pytestmark = pytest.mark.slow
@@ -355,6 +355,34 @@ def test_nonconvergence_exit_3_with_trace(workdir, capsys, monkeypatch):
                            sim.k, sim.seed)
     assert trace["error"] == str(failure.value)
     assert trace["trace"] == json.loads(json.dumps(failure.value.trace))
+
+
+def test_solve_leaves_only_its_own_outputs(workdir, monkeypatch):
+    # solve, fail the steady solve (exit 3), solve, fail the eigensolve
+    # (exit 4): no run leaves an earlier run's files beside its own
+    paths = {"outdir": "out_stale", "cache": None}
+    ok = write_config(workdir / "stale.yaml", paths=paths)
+    no_steps = write_config(workdir / "stale_steps.yaml", paths=paths,
+                            solver={"picard_steps": 0, "newton_steps": 0})
+    outdir = workdir / "out_stale"
+    results = {"solve.json", "velocity.npy", "pressure.npy"}
+
+    def written():
+        return {path.name for path in outdir.iterdir()}
+
+    assert main(["solve", "--config", str(ok)]) == 0
+    assert written() == results
+    assert main(["solve", "--config", str(no_steps)]) == 3
+    assert written() == {"solve_trace.json"}
+    assert main(["solve", "--config", str(ok)]) == 0
+    assert written() == results
+
+    def failing(*args, **kwargs):
+        raise EigenError("no eigenvalue")
+
+    monkeypatch.setattr(simulate, "rightmost", failing)
+    assert main(["solve", "--config", str(ok)]) == 4
+    assert written() == set()
 
 
 @pytest.mark.parametrize("affinity, expected", [({0}, 1), (None, 2)])

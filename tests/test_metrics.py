@@ -136,7 +136,7 @@ def test_kde_bandwidth_doubling_smooths():
 
 
 def test_kde_chunking_is_invisible():
-    # same answer whether the grid fits one block or spans many
+    # the density at a point does not depend on the rest of the grid
     rng = np.random.default_rng(9)
     x = rng.standard_normal(50)
     short = np.linspace(-2, 2, 30)

@@ -329,6 +329,24 @@ def test_eval_cache_skips_torn_last_line(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_eval_cache_keeps_a_whole_last_record_without_its_newline(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    cache = EvalCache(path, "fp")
+    for key, lam_re in (("a", -1.0), ("b", -2.0)):
+        cache.put(key, SampleRecord((0.0,), lam_re, 0.0, False))
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-1])
+    cache = EvalCache(path, "fp")
+    assert len(cache) == 2 and cache.get("b").lam_re == -2.0
+    # the next append ends that record's line before it writes its own
+    cache.put("c", SampleRecord((0.0,), -3.0, 0.0, False))
+    assert path.read_bytes().startswith(whole)
+    lines = path.read_text().splitlines()
+    assert [json.loads(line)["key"] for line in lines] == ["a", "b", "c"]
+    assert len(EvalCache(path, "fp")) == 3
+    assert capsys.readouterr().err == ""
+
+
 def test_eval_cache_rejects_corrupt_inner_line(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(cache_line("k1", -1.0) + "\n{not json\n"

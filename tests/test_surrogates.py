@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from flowstab import surrogates
 from flowstab.errors import ConfigError, TrainingError
 from flowstab.gpc import GpcBasis
 from flowstab.quadrature import smolyak
@@ -289,6 +290,75 @@ def test_nn_needs_samples():
     ts = TrainingSet.from_samples(np.eye(3), [1.0, 2.0, 3.0])
     with pytest.raises(TrainingError):
         nn_train(ts)
+
+
+def check_nn_exit(monkeypatch, design, seed, iterations, exit):
+    """Fit with a watch on the Jacobian and check how the fit ended.
+
+    The fit forms one Jacobian at its start and one at each accepted
+    point, so the watch sees every weight vector the iteration visited.
+    The returned weights must be one of them and, under the final
+    (alpha, beta), no worse than the last.
+    """
+    visited = []
+    jacobian = surrogates._nn_jacobian
+
+    def watched(theta, x, h):
+        visited.append(theta.copy())
+        return jacobian(theta, x, h)
+
+    monkeypatch.setattr(surrogates, "_nn_jacobian", watched)
+    net = nn_train(design, seed=seed)
+    info = net.info
+    assert info["iterations"] == iterations
+    accepted = len(visited) - 1
+    if exit == "cap":
+        assert iterations == accepted == surrogates._MAX_ITERS
+        assert info["gradient"] >= surrogates._GRAD_TOL
+    else:
+        # the last iteration tested its gradient and took no step
+        assert accepted == iterations - 1
+        assert (info["gradient"] < surrogates._GRAD_TOL) == (exit == "gradient")
+
+    idx_train = surrogates._split_indices(np.random.default_rng(seed),
+                                          design.n)[0]
+    lo, hi = design.inputs.min(axis=0), design.inputs.max(axis=0)
+    x = surrogates._unit_box(design.inputs[idx_train], lo, hi)
+    y = design.scaled_targets[idx_train]
+
+    def objective(theta):
+        weights = surrogates._nn_unpack(theta, design.dim)
+        resid = surrogates._nn_forward(*weights, x)[0] - y
+        return (info["beta"] * float(resid @ resid)
+                + info["alpha"] * float(theta @ theta))
+
+    theta = np.concatenate([net.w1.ravel(), net.b1, net.w2, [net.b2]])
+    assert any(np.array_equal(theta, point) for point in visited)
+    assert objective(theta) <= objective(visited[-1])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("cov, stride, iterations, exit", [
+    (0.01, 1, 1000, "cap"), (0.10, 1, 1000, "cap"),
+    (0.01, 4, 1000, "cap"), (0.10, 4, 1000, "cap"),
+    (0.01, 5, 10, "gradient"), (0.10, 5, 8, "gradient")])
+def test_nn_fit_exits_on_the_desk_designs(desk_study, monkeypatch, cov, stride,
+                                          iterations, exit):
+    # the 29 design nodes of the obstacle desk study run to the iteration
+    # cap, as does every fourth; every fifth (6 nodes) meets the gradient
+    # tolerance within a few steps
+    design = TrainingSet.from_samples(
+        desk_study.design_samples.xi,
+        desk_study.by_cov[cov].design_mc.lam_re).subsample(stride)
+    check_nn_exit(monkeypatch, design, 0, iterations, exit)
+
+
+def test_nn_fit_exit_on_exhausted_damping(monkeypatch):
+    # four samples: alpha reaches its cap, the weights shrink towards zero,
+    # and once no damping up to the largest lowers the objective any more
+    # the fit stops with the gradient above its tolerance
+    design = training_set_from(lambda x: np.sin(x[:, 0]), n=4, seed=1)
+    check_nn_exit(monkeypatch, design, 0, 9, "damping")
 
 
 # ------------------------------------------------------------- persistence
