@@ -12,11 +12,16 @@ from the Nystrom extension
 
     v(x) = (1/lambda) sum_i w_i C(x, x_i) v(x_i),
 
-which agrees with the node values at the nodes themselves.
+which agrees with the node values at the nodes themselves.  The extension
+forms the covariance between points and nodes in equal chunks of points,
+each at most ``_BLOCK`` entries (8 MB), so evaluating the modes at every
+quadrature point of a production mesh never holds the whole
+(points x nodes) matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +34,8 @@ from .meshes import Mesh
 
 # eigenvalues below this fraction of the largest count as numerically zero
 _RANK_RTOL = 1e-12
+# covariance entries per chunk of points in ``KlExpansion.extend``
+_BLOCK = 2**20
 
 
 def covariance_matrix(a: np.ndarray, b: np.ndarray,
@@ -57,10 +64,20 @@ class KlExpansion:
         return self.eigenvalues.size
 
     def extend(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate every mode at ``points`` (n_pts, 2); returns (m, n_pts)."""
+        """Evaluate every mode at ``points`` (n_pts, 2); returns (m, n_pts).
+
+        The points go in equal chunks whose covariance with the nodes has
+        at most ``_BLOCK`` entries.  Chunks of equal size keep every
+        product on one BLAS kernel, so the values match the one-shot
+        product bit for bit on the shipped meshes.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        c = covariance_matrix(pts, self.nodes, self.lx, self.ly)
-        return (self.modes * self.weights) @ c.T / self.eigenvalues[:, None]
+        n = max(1, math.ceil(pts.shape[0] * self.nodes.shape[0] / _BLOCK))
+        wm = self.modes * self.weights
+        vals = np.concatenate(
+            [wm @ covariance_matrix(chunk, self.nodes, self.lx, self.ly).T
+             for chunk in np.array_split(pts, n)], axis=1)
+        return vals / self.eigenvalues[:, None]
 
     @cached_property
     def quad_values(self) -> np.ndarray:

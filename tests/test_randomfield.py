@@ -5,15 +5,19 @@ Nystrom matrix is a Kronecker product of two 1D Nystrom matrices, so the
 2D eigenvalues must be products of independently computed 1D ones.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowstab import randomfield
 from flowstab.assembly import quad_data
 from flowstab.errors import RankDeficiencyError
-from flowstab.meshes import channel_mesh, obstacle_mesh
-from flowstab.randomfield import covariance_matrix, kl_decompose
+from flowstab.meshes import channel_mesh, obstacle_mesh, step_mesh
+from flowstab.randomfield import _BLOCK, covariance_matrix, kl_decompose
 
 
 def nystrom_1d_eigvals(breaks, length):
@@ -143,3 +147,54 @@ def test_covariance_matrix_agrees_with_kernel():
             dx, dy = np.abs(a[i] - b[j])
             assert mat[i, j] == pytest.approx(
                 np.exp(-(dx / 0.7 + dy / 0.9)), rel=1e-14)
+
+
+@pytest.fixture(scope="module")
+def step_kl():
+    """The production step mesh, whose quadrature points take several
+    covariance blocks."""
+    return kl_decompose(step_mesh(refine=2), m=2, lx=7.5, ly=0.5)
+
+
+def one_shot(kl, pts):
+    c = covariance_matrix(pts, kl.nodes, kl.lx, kl.ly)
+    return (kl.modes * kl.weights) @ c.T / kl.eigenvalues[:, None]
+
+
+def test_extension_runs_in_equal_bounded_blocks(step_kl, monkeypatch):
+    qd = quad_data(step_kl.mesh)
+    pts = np.column_stack([qd.qx.ravel(), qd.qy.ravel()])
+    rows = []
+
+    def spy(a, b, lx, ly):
+        rows.append(a.shape[0])
+        return covariance_matrix(a, b, lx, ly)
+
+    monkeypatch.setattr(randomfield, "covariance_matrix", spy)
+    vals = step_kl.extend(pts)
+    n_nodes = step_kl.nodes.shape[0]
+    assert len(rows) >= 2
+    assert sum(rows) == pts.shape[0]
+    assert max(rows) * n_nodes <= _BLOCK
+    assert max(rows) - min(rows) <= 1
+    np.testing.assert_allclose(vals, one_shot(step_kl, pts), rtol=0, atol=1e-15)
+
+    assert step_kl.extend(np.empty((0, 2))).shape == (step_kl.n_modes, 0)
+    rows.clear()
+    probe = dataclasses.replace(step_kl).probe_values
+    assert rows == [1]
+    np.testing.assert_array_equal(
+        probe, one_shot(step_kl, step_kl.probe[None, :])[:, 0])
+
+
+def test_quad_values_memory_is_bounded(step_kl):
+    # one (9 n_cells) x n_cells covariance of every quadrature point with
+    # every node peaks at 196 MiB on this mesh
+    kl = dataclasses.replace(step_kl)
+    tracemalloc.start()
+    try:
+        kl.quad_values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
